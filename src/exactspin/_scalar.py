@@ -1,25 +1,13 @@
 """Scalar numeric kernels for the square well dynamics.
 
-Plain-Python floating point, written so the engine module can compile
-the very same functions with numba: both paths then execute identical
-IEEE operations and produce bit-identical trajectories.
+Plain-Python floating point.  The array engine and the object-level
+update call the very same functions, so both execute identical IEEE
+operations and produce bit-identical trajectories.
 """
 
 from __future__ import annotations
 
 import math
-
-try:  # pragma: no cover - absence exercised only without numba installed
-    from numba import njit as _njit
-
-    def _maybe_jit(f):
-        return _njit(cache=True)(f)
-
-except Exception:  # pragma: no cover
-
-    def _maybe_jit(f):
-        return f
-
 
 _INV_SQRT2 = 0.7071067811865476
 
@@ -35,17 +23,14 @@ MEAN_GRID = 1073741824.0  # 2^30
 VALUE_GRID = 68719476736.0  # 2^36
 
 
-@_maybe_jit
 def snap(x: float, grid: float) -> float:
     return math.floor(x * grid + 0.5) / grid
 
 
-@_maybe_jit
 def norm_cdf(z: float) -> float:
     return 0.5 * math.erfc(-z * _INV_SQRT2)
 
 
-@_maybe_jit
 def norm_ppf(p: float) -> float:
     """Wichura's PPND16 inverse normal CDF (Algorithm AS 241)."""
     q = p - 0.5
@@ -93,12 +78,11 @@ def norm_ppf(p: float) -> float:
     return val
 
 
-@_maybe_jit
 def cell_floor(x: float, tenk: float, w: float) -> float:
     """Index c of the float-grid cell [c*w, (c+1)*w) containing x.
 
-    Returned as a float (numba-friendly); corrected so the grid defined
-    by the rounded products c*w is honoured exactly.
+    Returned as a float; corrected so the grid defined by the rounded
+    products c*w is honoured exactly.
     """
     c = math.floor(x * tenk)
     while x < c * w:
@@ -112,7 +96,6 @@ def cell_floor(x: float, tenk: float, w: float) -> float:
     return c
 
 
-@_maybe_jit
 def swm_draw(
     m: float,
     sig: float,

@@ -24,7 +24,7 @@ from .engine import MonotonicityError, SwmLattice, swm_sandwich
 from .lattice import BoxRegion, Vertex
 from .randomness import digit_cell, event_stream
 from .swm import SwmField
-from .xy import XyTriple, box_graph, xy_extremes, xy_full_update, xy_leq
+from .xy import XyTriple, box_graph, xy_extremes, xy_full_update
 
 MODEL_SWM = "swm"
 MODEL_XY = "xy"
@@ -62,7 +62,7 @@ class WindowSpec:
     boundary: Optional[object] = None  # swm: zeta value; xy: bc string
 
     def __post_init__(self):
-        if not self.t_start < self.t_end <= 0 and not self.t_start == self.t_end:
+        if not self.t_start <= self.t_end <= 0:
             raise ValueError("need t_start <= t_end <= 0")
         if self.model not in (MODEL_SWM, MODEL_XY):
             raise ValueError(f"unknown model {self.model!r}")

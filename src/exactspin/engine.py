@@ -1,9 +1,10 @@
 """Array-based trajectory engine for square well dynamics.
 
-Event generation and the sandwich update loop are compiled with numba
-when available (pure-Python fallback otherwise, same bit-for-bit
-results).  The event streams here reproduce exactly the object-level
-streams of :mod:`exactspin.randomness`; tests assert the equivalence.
+Plain Python over numpy arrays.  Events come from the one generator,
+:func:`exactspin.randomness.block_events`, so the engine sees exactly
+the events of the object-level :func:`exactspin.randomness.event_stream`;
+the update kernel is :func:`exactspin._scalar.swm_draw`, the same one
+the object-level update calls.
 """
 
 from __future__ import annotations
@@ -15,117 +16,43 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from . import _scalar
-from .lattice import BoxRegion, Vertex, neighbors
-from .randomness import vertex_key
-
-try:  # pragma: no cover - exercised implicitly everywhere
-    from numba import njit
-
-    HAVE_NUMBA = True
-except Exception:  # pragma: no cover
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(f):
-            return f
-
-        return wrap
+from .lattice import Vertex, neighbors
+from .randomness import block_events, vertex_key, window_blocks
 
 
-U64 = np.uint64
-_GOLD = U64(0x9E3779B97F4A7C15)
-_M1 = U64(0xBF58476D1CE4E5B9)
-_M2 = U64(0x94D049BB133111EB)
-_S30 = U64(30)
-_S27 = U64(27)
-_S31 = U64(31)
-_S11 = U64(11)
-_TAG_COUNT = U64(0x1)
-_TAG_TIME = U64(0x2)
-_TAG_PRIMARY = U64(0x3)
-_TAG_REFINE = U64(0x4)
-_TAG_MATCH = U64(0x5)
-_UNIT = 1.0 / float(1 << 53)
-
-
-@njit(cache=True)
-def _mix(z):
-    z = z + _GOLD
-    z = (z ^ (z >> _S30)) * _M1
-    z = (z ^ (z >> _S27)) * _M2
-    return z ^ (z >> _S31)
-
-
-@njit(cache=True)
-def _unit(bits):
-    return (float(bits >> _S11) + 0.5) * _UNIT
-
-
-@njit(cache=True)
-def _poisson_unit(u):
-    p = math.exp(-1.0)
-    cum = p
-    k = 0
-    while u > cum and k <= 60:
-        k += 1
-        p /= k
-        cum += p
-    return k
-
-
-@njit(cache=True)
 def _gen_events(vkeys, first_block, last_block, t_start, t_end):
     """Events on (t_start, t_end] for all sites, unsorted.
 
-    Returns (times, site_idx, keys, u_primary, u_refine, u_match).
+    Returns (times, site_idx, keys, u_primary, u_refine, u_match) as
+    numpy arrays over the generator's typed arrays.
     """
-    S = vkeys.size
-    nblocks = last_block - first_block + 1
-    counts = np.empty(S * nblocks, np.int64)
-    total = 0
-    ci = 0
-    for si in range(S):
-        vk = vkeys[si]
-        for b in range(first_block, last_block + 1):
-            bkey = _mix(vk ^ U64(b * 2 + 11))
-            c = _poisson_unit(_unit(_mix(bkey ^ _TAG_COUNT)))
-            counts[ci] = c
-            total += c
-            ci += 1
-    times = np.empty(total, np.float64)
-    sidx = np.empty(total, np.int64)
-    keys = np.empty(total, np.uint64)
-    n = 0
-    ci = 0
-    for si in range(S):
-        vk = vkeys[si]
-        for b in range(first_block, last_block + 1):
-            c = counts[ci]
-            ci += 1
-            if c == 0:
-                continue
-            bkey = _mix(vk ^ U64(b * 2 + 11))
-            for slot in range(c):
-                t = -(b + _unit(_mix(bkey ^ (_TAG_TIME + U64((slot + 1) << 8)))))
-                if t_start < t <= t_end:
-                    times[n] = t
-                    sidx[n] = si
-                    keys[n] = _mix(vk ^ U64((b << 8) | slot))
-                    n += 1
-    up = np.empty(n, np.float64)
-    ur = np.empty(n, np.float64)
-    um = np.empty(n, np.float64)
-    for i in range(n):
-        up[i] = _unit(_mix(keys[i] ^ _TAG_PRIMARY))
-        ur[i] = _unit(_mix(keys[i] ^ _TAG_REFINE))
-        um[i] = _unit(_mix(keys[i] ^ _TAG_MATCH))
-    return times[:n], sidx[:n], keys[:n], up, ur, um
+    times, sidx, keys, up, ur, um = block_events(
+        vkeys, first_block, last_block, t_start, t_end
+    )
+    return (
+        np.frombuffer(times, np.float64),
+        np.frombuffer(sidx, np.int64),
+        np.frombuffer(keys, np.uint64),
+        np.frombuffer(up, np.float64),
+        np.frombuffer(ur, np.float64),
+        np.frombuffer(um, np.float64),
+    )
+
+
+def sorted_events(vkeys: Sequence[int], t_start: float, t_end: float):
+    """The sites' events on (t_start, t_end] in time order, as
+    (times, site_idx, keys, u_primary, u_refine, u_match) arrays."""
+    first_block, last_block = window_blocks(t_start, t_end)
+    arrays = list(_gen_events(vkeys, first_block, last_block, t_start, t_end))
+    order = np.argsort(arrays[0], kind="stable")
+    for i in range(len(arrays)):
+        arrays[i] = arrays[i][order]  # frees each unsorted array in turn
+    return tuple(arrays)
 
 
 _swm_draw = _scalar.swm_draw
 
 
-@njit(cache=True)
 def _swm_chunk(
     top,
     bot,
@@ -242,15 +169,15 @@ class SwmLattice:
         seed: int,
         reseed: Optional[Mapping[Vertex, int]] = None,
         offset: Optional[Vertex] = None,
-    ) -> np.ndarray:
+    ) -> List[int]:
         """Per-site stream keys; ``offset`` shifts every vertex, letting a
         centered lattice stand in for a translate of itself."""
-        out = np.empty(self.size, np.uint64)
-        for i, v in enumerate(self.vertices):
+        out = []
+        for v in self.vertices:
             if offset is not None:
                 v = tuple(a + b for a, b in zip(v, offset))
             master = seed if reseed is None else reseed.get(v, seed)
-            out[i] = vertex_key(master, v)
+            out.append(vertex_key(master, v))
         return out
 
     def mask(self, predicate) -> np.ndarray:
@@ -325,17 +252,7 @@ def swm_sandwich(
     nev = 0
     status = -1
     for lo, hi in _chunk_bounds(t_start, t_end, span):
-        first_block = max(0, math.floor(-hi))
-        last_block = math.ceil(-lo) - 1
-        times, sidx, keys, up, ur, um = _gen_events(
-            vkeys, first_block, last_block, lo, hi
-        )
-        order = np.argsort(times, kind="stable")
-        times = times[order]
-        sidx = sidx[order]
-        up = up[order]
-        ur = ur[order]
-        um = um[order]
+        times, sidx, _, up, ur, um = sorted_events(vkeys, lo, hi)
         nev += times.size
         if origin_idx >= 0:
             rec_time = np.empty(times.size, np.float64)
@@ -389,28 +306,3 @@ def swm_evolve(
         bc_top=zeta, bc_bot=zeta,
     )
     return res.top
-
-
-def engine_stream_arrays(
-    lattice: SwmLattice,
-    t_start: float,
-    t_end: float,
-    seed: int,
-    reseed: Optional[Mapping[Vertex, int]] = None,
-):
-    """Sorted event arrays for the window (test/diagnostic helper)."""
-    vkeys = lattice.vkeys(seed, reseed)
-    first_block = max(0, math.floor(-t_end))
-    last_block = math.ceil(-t_start) - 1
-    times, sidx, keys, up, ur, um = _gen_events(
-        vkeys, first_block, last_block, t_start, t_end
-    )
-    order = np.argsort(times, kind="stable")
-    return (
-        times[order],
-        sidx[order],
-        keys[order],
-        up[order],
-        ur[order],
-        um[order],
-    )

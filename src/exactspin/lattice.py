@@ -1,31 +1,24 @@
-"""Finite boxes of Z^d, nearest-neighbour geometry, and cluster passes.
+"""Finite boxes of Z^d, nearest-neighbour geometry, and coarse cell passes.
 
 Vertices are integer tuples.  A box of radius n around a center c is the
 open cube (c - n, c + n)^d intersected with Z^d, so it holds (2n-1)^d
-sites.  Cluster algorithms operate both on the fine lattice (edge
-percolation components) and on the coarse space-time grid of cells used
-by the coarse-graining layer.
+sites.  The cluster passes here run on the coarse space-time grid of
+cells used by the coarse-graining layer; percolation components on the
+fine lattice live with the XY model (``xy.percolation_components``).
 """
 
 from __future__ import annotations
 
 import itertools
-import math
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import List, Set, Tuple
 
 Vertex = Tuple[int, ...]
-Edge = Tuple[Vertex, Vertex]
 Cell = Tuple[int, Tuple[int, ...]]  # (time index j <= 0, spatial index x)
 
 
 class WindowTooSmallError(RuntimeError):
     """A cluster reached the edge of its declared finite window."""
-
-
-def canonical_edge(u: Vertex, v: Vertex) -> Edge:
-    """Order the endpoints so each undirected edge has one key."""
-    return (u, v) if u <= v else (v, u)
 
 
 def neighbors(v: Vertex) -> List[Vertex]:
@@ -68,18 +61,6 @@ class BoxRegion:
         ]
         return [tuple(p) for p in itertools.product(*ranges)]
 
-    def interior_edges(self) -> List[Edge]:
-        """Nearest-neighbour edges with both endpoints inside the box."""
-        out = []
-        for v in self.vertices():
-            for i in range(self.d):
-                w = list(v)
-                w[i] += 1
-                w = tuple(w)
-                if self.contains(w):
-                    out.append((v, w))
-        return out
-
     def exterior_boundary(self) -> List[Vertex]:
         """Sites outside the box adjacent to at least one inside site."""
         seen: Set[Vertex] = set()
@@ -97,169 +78,9 @@ def build_box(d: int, n: int, center: Vertex | None = None) -> BoxRegion:
     return BoxRegion(d=d, n=n, center=tuple(center))
 
 
-class DisjointSets:
-    """Union-find forest with union by rank and path compression."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.rank = [0] * n
-        self.count = n
-
-    def find(self, a: int) -> int:
-        root = a
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[a] != root:
-            self.parent[a], a = root, self.parent[a]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.rank[ra] < self.rank[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        if self.rank[ra] == self.rank[rb]:
-            self.rank[ra] += 1
-        self.count -= 1
-        return True
-
-
-@dataclass
-class ClusterPartition:
-    """Connected components of a region under declared open edges."""
-
-    elements: List
-    labels: List[int]
-    _index: Dict = field(repr=False, default_factory=dict)
-
-    def __post_init__(self):
-        if not self._index:
-            self._index = {e: i for i, e in enumerate(self.elements)}
-
-    def label(self, element) -> int:
-        return self.labels[self._index[element]]
-
-    def components(self) -> List[FrozenSet]:
-        groups: Dict[int, List] = {}
-        for e, lab in zip(self.elements, self.labels):
-            groups.setdefault(lab, []).append(e)
-        return [frozenset(g) for g in groups.values()]
-
-    def same_component(self, a, b) -> bool:
-        return self.label(a) == self.label(b)
-
-    @property
-    def component_count(self) -> int:
-        return len(set(self.labels))
-
-
-def fine_clusters(
-    open_edges: Iterable[Edge] | Mapping[Edge, int],
-    region: BoxRegion | Sequence[Vertex],
-) -> ClusterPartition:
-    """Components of the region under the given open nearest-neighbour edges.
-
-    ``open_edges`` is either a collection of open edges or a mapping
-    edge -> {0,1}; edges touching vertices outside the region are
-    rejected.
-    """
-    if isinstance(region, BoxRegion):
-        verts = region.vertices()
-    else:
-        verts = list(region)
-    index = {v: i for i, v in enumerate(verts)}
-    ds = DisjointSets(len(verts))
-    if isinstance(open_edges, Mapping):
-        edge_iter = (e for e, bit in open_edges.items() if bit)
-    else:
-        edge_iter = iter(open_edges)
-    for (u, v) in edge_iter:
-        if u not in index or v not in index:
-            raise ValueError(f"edge ({u}, {v}) leaves the region")
-        ds.union(index[u], index[v])
-    # densify labels so equal labels mean equal components
-    roots = [ds.find(i) for i in range(len(verts))]
-    remap: Dict[int, int] = {}
-    labels = []
-    for r in roots:
-        if r not in remap:
-            remap[r] = len(remap)
-        labels.append(remap[r])
-    return ClusterPartition(elements=verts, labels=labels, _index=index)
-
-
-def bfs_components(verts: Sequence[Vertex], open_edges: Set[Edge]) -> List[Set[Vertex]]:
-    """Independent breadth-first component oracle (test reference)."""
-    vert_set = set(verts)
-    seen: Set[Vertex] = set()
-    comps = []
-    for v in verts:
-        if v in seen:
-            continue
-        comp = {v}
-        queue = [v]
-        seen.add(v)
-        while queue:
-            cur = queue.pop()
-            for w in neighbors(cur):
-                if w in vert_set and w not in seen and canonical_edge(cur, w) in open_edges:
-                    seen.add(w)
-                    comp.add(w)
-                    queue.append(w)
-        comps.append(comp)
-    return comps
-
-
 # ---------------------------------------------------------------------------
 # Coarse space-time grid
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CoarseCell:
-    """One cell of the coarse space-time grid.
-
-    Cell (j, x) with j <= 0 owns the fine time slab (L*(j-1), L*j] and
-    the spatial core box of radius n_L around L*x.  Its dynamics are
-    started n_L fine time units before the slab, on the box of radius
-    2*n_L, which is also its dependence zone.
-    """
-
-    j: int
-    x: Tuple[int, ...]
-    L: int
-    delta: float
-
-    def __post_init__(self):
-        if self.j > 0:
-            raise ValueError("time index must be <= 0")
-        if self.L < 1:
-            raise ValueError("scale L must be >= 1")
-        if not (0.0 < self.delta < 1.0):
-            raise ValueError("mesh delta must be in (0, 1)")
-
-    @property
-    def n_L(self) -> int:
-        return math.ceil(self.L / self.delta)
-
-    @property
-    def slab(self) -> Tuple[float, float]:
-        return (self.L * (self.j - 1), self.L * self.j)
-
-    @property
-    def run_start(self) -> float:
-        return self.L * (self.j - 1) - self.n_L
-
-    def fine_center(self) -> Vertex:
-        return tuple(self.L * xi for xi in self.x)
-
-    def core_box(self) -> BoxRegion:
-        return build_box(len(self.x), self.n_L, self.fine_center())
-
-    def zone_box(self) -> BoxRegion:
-        return build_box(len(self.x), 2 * self.n_L, self.fine_center())
 
 
 @dataclass(frozen=True)
@@ -306,19 +127,6 @@ class CellWindow:
     @property
     def size(self) -> int:
         return (self.j_max - self.j_min + 1) * (2 * self.x_radius + 1) ** self.d
-
-
-class CellField:
-    """0/1 values over a cell window (plain container, duck-typed)."""
-
-    def __init__(self, window: CellWindow, values: Mapping[Cell, int]):
-        self.window = window
-        self.values = dict(values)
-
-    def value(self, cell: Cell) -> int:
-        if not self.window.contains(cell):
-            raise ValueError(f"cell {cell} outside the window")
-        return self.values[cell]
 
 
 def _star_neighbors(cell: Cell) -> List[Cell]:

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from .lattice import BoxRegion, Vertex, canonical_edge, neighbors
+from .lattice import BoxRegion, Vertex, neighbors
 from .xy import XyGraph
 
 

@@ -1,4 +1,4 @@
-"""Deterministic space-time event streams and the grand couplings.
+"""Deterministic space-time event streams and the grand coupling.
 
 Every random quantity is a pure function of a 64-bit master seed and
 integer counters, so any sub-window of the space-time Poisson process
@@ -6,13 +6,18 @@ can be regenerated without storing events.  Arrival times come from
 per-vertex, per-unit-time-block Poisson counts keyed by
 (seed, vertex, block); restricting a stream to a smaller window yields
 exactly the time-restriction of the larger stream.
+
+``block_events`` is the one event generator: the array engine reads its
+typed arrays directly and ``event_stream`` wraps the same events in
+``UpdateEvent`` objects.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, List, Mapping, Optional, Sequence, Tuple
 
 from .lattice import BoxRegion, Vertex
 
@@ -54,30 +59,11 @@ def _poisson_unit(u: float) -> int:
     p = math.exp(-1.0)
     cum = p
     k = 0
-    while u > cum:
+    while u > cum and k <= 60:  # the cdf saturates long before k = 60
         k += 1
         p /= k
         cum += p
-        if k > 60:  # pragma: no cover - cdf saturates long before
-            break
     return k
-
-
-@dataclass(frozen=True)
-class SeedKey:
-    """Identifies one event's randomness source.
-
-    ``counter`` packs (time block, slot within block).  The event list
-    restricted to any sub-window is a deterministic function of
-    (master, window) and is restriction-consistent across windows.
-    """
-
-    master: int
-    vertex: Vertex
-    counter: int
-
-    def event_key(self) -> int:
-        return mix64(vertex_key(self.master, self.vertex) ^ self.counter)
 
 
 @dataclass(frozen=True)
@@ -111,24 +97,60 @@ class UpdateEvent:
     randomness: UpdateRandomness
 
 
-def randomness_from_key(key: int) -> UpdateRandomness:
-    return UpdateRandomness(
-        u_primary=_to_unit(mix64(key ^ _TAG_PRIMARY)),
-        u_refine=_to_unit(mix64(key ^ _TAG_REFINE)),
-        u_match=_to_unit(mix64(key ^ _TAG_MATCH)),
-        key=key,
+def event_uniforms(key: int) -> Tuple[float, float, float]:
+    """(u_primary, u_refine, u_match) of the event with this key."""
+    return (
+        _to_unit(mix64(key ^ _TAG_PRIMARY)),
+        _to_unit(mix64(key ^ _TAG_REFINE)),
+        _to_unit(mix64(key ^ _TAG_MATCH)),
     )
 
 
-def _vertex_events_in_block(vkey: int, block: int) -> List[Tuple[float, int]]:
-    """(time, counter) pairs for one vertex in the block (-block-1, -block]."""
-    bkey = mix64(vkey ^ (block * 2 + 11))
-    count = _poisson_unit(_to_unit(mix64(bkey ^ _TAG_COUNT)))
-    out = []
-    for slot in range(count):
-        t = -(block + _to_unit(mix64(bkey ^ (_TAG_TIME + ((slot + 1) << 8)))))
-        out.append((t, (block << 8) | slot))
-    return out
+def randomness_from_key(key: int) -> UpdateRandomness:
+    return UpdateRandomness(*event_uniforms(key), key=key)
+
+
+def window_blocks(t_start: float, t_end: float) -> Tuple[int, int]:
+    """(first, last) unit time blocks meeting the window (t_start, t_end].
+
+    Block b covers (-b-1, -b].
+    """
+    return max(0, math.floor(-t_end)), math.ceil(-t_start) - 1
+
+
+def block_events(
+    vkeys: Sequence[int],
+    first_block: int,
+    last_block: int,
+    t_start: float,
+    t_end: float,
+) -> Tuple[array, array, array, array, array, array]:
+    """All events of the given vertex keys on (t_start, t_end], unsorted.
+
+    Each (vertex, block) pair draws a Poisson(1) count and that many
+    uniform slot times inside the block; the event key folds (block,
+    slot) into the vertex key.  Returns typed arrays (times, site index
+    into ``vkeys``, keys, u_primary, u_refine, u_match), in site-major,
+    block, slot order.
+    """
+    times, sidx, keys = array("d"), array("q"), array("Q")
+    up, ur, um = array("d"), array("d"), array("d")
+    for si, vkey in enumerate(vkeys):
+        for block in range(first_block, last_block + 1):
+            bkey = mix64(vkey ^ (block * 2 + 11))
+            count = _poisson_unit(_to_unit(mix64(bkey ^ _TAG_COUNT)))
+            for slot in range(count):
+                t = -(block + _to_unit(mix64(bkey ^ (_TAG_TIME + ((slot + 1) << 8)))))
+                if t_start < t <= t_end:
+                    key = mix64(vkey ^ ((block << 8) | slot))
+                    times.append(t)
+                    sidx.append(si)
+                    keys.append(key)
+                    a, b, c = event_uniforms(key)
+                    up.append(a)
+                    ur.append(b)
+                    um.append(c)
+    return times, sidx, keys, up, ur, um
 
 
 def event_stream(
@@ -151,20 +173,20 @@ def event_stream(
     if t_end > 0:
         raise ValueError("windows end at or before time 0")
     verts = region.vertices() if isinstance(region, BoxRegion) else list(region)
-    first_block = max(0, math.floor(-t_end))
-    last_block = math.ceil(-t_start) - 1
-    events: List[Tuple[float, Vertex, int]] = []
-    for v in verts:
-        master = seed if reseed is None else reseed.get(v, seed)
-        vkey = vertex_key(master, v)
-        for block in range(first_block, last_block + 1):
-            for t, counter in _vertex_events_in_block(vkey, block):
-                if t_start < t <= t_end:
-                    events.append((t, v, mix64(vkey ^ counter)))
-    events.sort(key=lambda rec: rec[0])
+    vkeys = [
+        vertex_key(seed if reseed is None else reseed.get(v, seed), v) for v in verts
+    ]
+    times, sidx, keys, up, ur, um = block_events(
+        vkeys, *window_blocks(t_start, t_end), t_start, t_end
+    )
+    order = sorted(range(len(times)), key=times.__getitem__)
     return [
-        UpdateEvent(vertex=v, time=t, randomness=randomness_from_key(key))
-        for (t, v, key) in events
+        UpdateEvent(
+            vertex=verts[sidx[i]],
+            time=times[i],
+            randomness=UpdateRandomness(up[i], ur[i], um[i], key=keys[i]),
+        )
+        for i in order
     ]
 
 
@@ -197,7 +219,7 @@ def digit_split(x: float, k: int) -> Tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# Grand couplings
+# Grand coupling
 # ---------------------------------------------------------------------------
 
 
@@ -206,8 +228,9 @@ def monotone_inverse(
 ) -> float:
     """inf{x in [lower, upper] : cdf(x) >= u}, ties broken by infimum.
 
-    Full-resolution bisection: deterministic, exactly monotone in u and
-    monotone under pointwise domination of the (computed) CDF.
+    The inverse-CDF grand coupling map at one uniform u.  Full-resolution
+    bisection: deterministic, exactly monotone in u and monotone under
+    pointwise domination of the (computed) CDF.
     """
     if not (0.0 <= u <= 1.0):
         raise ValueError("u must lie in [0, 1]")
@@ -223,79 +246,3 @@ def monotone_inverse(
         else:
             lo = mid
     return hi
-
-
-def grand_inverse_cdf(
-    cdf: Callable[[float], float], u: float, lower: float, upper: float
-) -> float:
-    """The inverse-CDF grand coupling map at one uniform u."""
-    return monotone_inverse(cdf, u, lower, upper)
-
-
-class CellLaw:
-    """A conditional law restricted to one digit cell [lower, upper].
-
-    ``cdf`` must be the cell-normalized CDF: 0 at ``lower``, 1 at
-    ``upper``, monotone in between.
-    """
-
-    def __init__(self, lower: float, upper: float, cdf: Callable[[float], float]):
-        if not lower < upper:
-            raise ValueError("cell must have positive width")
-        self.lower = lower
-        self.upper = upper
-        self.cdf = cdf
-
-    def uniform_point(self, u: float) -> float:
-        return self.lower + (self.upper - self.lower) * u
-
-
-class CalibrationError(RuntimeError):
-    """The cell law fails the (1-eps)-uniform domination precondition."""
-
-
-def residual_cdf(cell: CellLaw, eps: float) -> Callable[[float], float]:
-    """The leftover CDF after peeling (1-eps) of the uniform component."""
-    width = cell.upper - cell.lower
-
-    def tilde(x: float) -> float:
-        linear = (x - cell.lower) / width
-        return (cell.cdf(x) - (1.0 - eps) * linear) / eps
-
-    return tilde
-
-
-def matched_refine(
-    cell: CellLaw, iota: UpdateRandomness, eps: float
-) -> Tuple[float, bool]:
-    """Draw from the cell law, matching across laws with prob 1 - eps.
-
-    On the matching branch (b_match = 0) the value is the plain uniform
-    point of the cell, identical for every admissible law; otherwise it
-    is the inverse of the residual CDF at ``u_refine``.  Preserves
-    stochastic domination across laws sharing the same randomness.
-    """
-    if not (0.0 <= eps < 1.0):
-        raise ValueError("eps must lie in [0, 1)")
-    if eps == 0.0 or iota.b_match(eps) == 0:
-        return cell.uniform_point(iota.u_refine), True
-    tilde = residual_cdf(cell, eps)
-    if tilde(cell.upper) < iota.u_refine - 1e-9:
-        raise CalibrationError(
-            "residual CDF does not reach u_refine; eps or k miscalibrated"
-        )
-    return monotone_inverse(tilde, iota.u_refine, cell.lower, cell.upper), False
-
-
-def validate_cell_law(cell: CellLaw, eps: float, grid: int = 64) -> None:
-    """Check the residual CDF is monotone on a grid; raise otherwise."""
-    tilde = residual_cdf(cell, eps)
-    xs = [
-        cell.lower + (cell.upper - cell.lower) * i / grid for i in range(grid + 1)
-    ]
-    vals = [tilde(x) for x in xs]
-    for a, b in zip(vals, vals[1:]):
-        if b < a - 1e-12:
-            raise CalibrationError(
-                "residual CDF decreases: cell law fails uniform domination"
-            )

@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Mapping, Tuple
+from typing import Dict
 
 import numpy as np
 
 from . import _scalar
 from .lattice import BoxRegion, Vertex, neighbors
-from .randomness import MAX_DIGITS, CellLaw, UpdateRandomness
+from .randomness import MAX_DIGITS, UpdateRandomness
 
 
 @dataclass(frozen=True)
@@ -68,15 +68,6 @@ class TruncatedNormalLaw:
         b = _scalar.norm_cdf((1.0 - self.mean) / s)
         p = min(max(a + u * (b - a), 1e-300), 1.0 - 1e-16)
         return min(1.0, max(-1.0, self.mean + s * _scalar.norm_ppf(p)))
-
-    def cell_law(self, cell: int, k: int) -> CellLaw:
-        """The law conditioned to the digit cell, as a normalized CellLaw."""
-        w = 10.0**-k
-        a, b = cell * w, (cell + 1) * w
-        fa, fb = self.cdf(a), self.cdf(b)
-        if fb <= fa:
-            return CellLaw(a, b, lambda x: (x - a) / (b - a))
-        return CellLaw(a, b, lambda x: (self.cdf(x) - fa) / (fb - fa))
 
 
 @dataclass

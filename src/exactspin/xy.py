@@ -24,7 +24,7 @@ from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence,
 import numpy as np
 
 from ._scalar import VALUE_GRID, snap
-from .lattice import BoxRegion, Vertex, canonical_edge, neighbors
+from .lattice import BoxRegion, neighbors
 from .randomness import MAX_DIGITS, UpdateRandomness, digit_cell, monotone_inverse
 
 HALF_PI = math.pi / 2.0

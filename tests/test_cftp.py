@@ -24,6 +24,10 @@ def test_window_validates_calibration():
     region = build_box(2, 2)
     with pytest.raises(ValueError):
         WindowSpec(region, -4.0, 0.0, MODEL_SWM, beta=1.0, k=1, eps=0.1)
+    for t_start, t_end in ((1.0, 1.0), (-1.0, -2.0), (-1.0, 0.5)):
+        with pytest.raises(ValueError):
+            WindowSpec(region, t_start, t_end, MODEL_SWM, beta=1.0, k=3, eps=0.1)
+    WindowSpec(region, -1.0, -1.0, MODEL_SWM, beta=1.0, k=3, eps=0.1)
     auto_window(region, -4.0, 0.0, MODEL_SWM, beta=1.0, eps=0.1)
 
 

@@ -6,7 +6,7 @@ import pytest
 from exactspin.engine import (
     MonotonicityError,
     SwmLattice,
-    engine_stream_arrays,
+    sorted_events,
     swm_evolve,
     swm_sandwich,
 )
@@ -19,12 +19,13 @@ def test_engine_stream_matches_object_stream():
     box = build_box(2, 3)
     lat = SwmLattice(box.vertices())
     for seed in (0, 1, 12345):
-        times, sidx, keys, up, ur, um = engine_stream_arrays(lat, -6.0, 0.0, seed)
+        times, sidx, keys, up, ur, um = sorted_events(lat.vkeys(seed), -6.0, 0.0)
         evs = event_stream(box, -6.0, 0.0, seed)
         assert len(evs) == times.size
         for i, e in enumerate(evs):
             assert e.time == times[i]
             assert e.vertex == lat.vertices[sidx[i]]
+            assert e.randomness.key == keys[i]
             assert e.randomness.u_primary == up[i]
             assert e.randomness.u_refine == ur[i]
             assert e.randomness.u_match == um[i]
@@ -34,7 +35,7 @@ def test_engine_stream_reseed_matches():
     box = build_box(2, 2)
     lat = SwmLattice(box.vertices())
     reseed = {(0, 0): 999, (1, 1): 1000}
-    times, sidx, _, up, _, _ = engine_stream_arrays(lat, -4.0, 0.0, 3, reseed=reseed)
+    times, sidx, _, up, _, _ = sorted_events(lat.vkeys(3, reseed), -4.0, 0.0)
     evs = event_stream(box, -4.0, 0.0, 3, reseed=reseed)
     assert [e.time for e in evs] == list(times)
     assert [e.randomness.u_primary for e in evs] == list(up)

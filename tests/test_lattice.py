@@ -4,18 +4,27 @@ import pytest
 
 from exactspin.lattice import (
     BoxRegion,
-    CellField,
     CellWindow,
     WindowTooSmallError,
-    bfs_components,
     build_box,
-    canonical_edge,
     cluster_touches_boundary,
     external_complement,
-    fine_clusters,
     star_boundary,
     star_zero_cluster,
 )
+
+
+class CellField:
+    """0/1 values over a cell window: the interface star_zero_cluster reads."""
+
+    def __init__(self, window, values):
+        self.window = window
+        self.values = dict(values)
+
+    def value(self, cell):
+        if not self.window.contains(cell):
+            raise ValueError(f"cell {cell} outside the window")
+        return self.values[cell]
 
 
 def test_build_box_singleton():
@@ -56,48 +65,6 @@ def test_build_box_center_offset():
     assert box.contains((5, -3))
     assert box.contains((6, -2))
     assert not box.contains((7, -3))
-
-
-def test_fine_clusters_all_closed():
-    box = build_box(2, 2)
-    part = fine_clusters([], box)
-    assert part.component_count == 9
-
-
-def test_fine_clusters_all_open():
-    box = build_box(2, 2)
-    part = fine_clusters(box.interior_edges(), box)
-    assert part.component_count == 1
-
-
-def test_fine_clusters_single_edge():
-    box = build_box(2, 2)
-    e = canonical_edge((0, 0), (0, 1))
-    part = fine_clusters([e], box)
-    assert part.component_count == 8
-    assert part.same_component((0, 0), (0, 1))
-    assert not part.same_component((0, 0), (1, 0))
-
-
-def test_fine_clusters_rejects_outside_edge():
-    box = build_box(2, 2)
-    with pytest.raises(ValueError):
-        fine_clusters([((1, 1), (1, 2))], box)
-
-
-def test_fine_clusters_against_bfs_oracle():
-    box = build_box(2, 3)
-    verts = box.vertices()
-    all_edges = [canonical_edge(u, v) for u, v in box.interior_edges()]
-    rng = random.Random(12345)
-    for _ in range(1000):
-        open_edges = {e for e in all_edges if rng.random() < 0.5}
-        part = fine_clusters(open_edges, box)
-        oracle = bfs_components(verts, open_edges)
-        assert part.component_count == len(oracle)
-        for comp in oracle:
-            labels = {part.label(v) for v in comp}
-            assert len(labels) == 1
 
 
 def _window(j_min=-4, radius=2, d=2):

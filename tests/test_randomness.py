@@ -4,19 +4,15 @@ import statistics
 
 import pytest
 
+from exactspin._scalar import swm_draw
 from exactspin.lattice import build_box
 from exactspin.randomness import (
-    CalibrationError,
-    CellLaw,
-    UpdateRandomness,
     digit_cell,
     digit_split,
     event_stream,
-    grand_inverse_cdf,
-    matched_refine,
     mix64,
+    monotone_inverse,
     randomness_from_key,
-    validate_cell_law,
 )
 
 
@@ -128,14 +124,14 @@ def test_digit_split_rejects_large_k():
 
 
 def test_grand_inverse_cdf_uniform():
-    inv = grand_inverse_cdf(lambda x: x, 0.3, 0.0, 1.0)
+    inv = monotone_inverse(lambda x: x, 0.3, 0.0, 1.0)
     assert abs(inv - 0.3) < 1e-12
 
 
 def test_grand_inverse_cdf_point_mass():
     cdf = lambda x: 0.0 if x < 0.5 else 1.0
     for u in (0.1, 0.5, 0.999):
-        inv = grand_inverse_cdf(cdf, u, 0.0, 1.0)
+        inv = monotone_inverse(cdf, u, 0.0, 1.0)
         assert abs(inv - 0.5) < 1e-12
 
 
@@ -144,7 +140,7 @@ def test_grand_inverse_cdf_monotone_in_u():
     prev = 0.0
     for i in range(1, 50):
         u = i / 50
-        inv = grand_inverse_cdf(cdf, u, 0.0, 1.0)
+        inv = monotone_inverse(cdf, u, 0.0, 1.0)
         assert inv >= prev
         prev = inv
 
@@ -160,76 +156,64 @@ def test_grand_inverse_cdf_respects_domination():
         G = lambda x, b=b: min(1.0, max(0.0, x)) ** (1.0 / (1.0 + b))
         for _ in range(5):
             u = rng.random()
-            assert grand_inverse_cdf(G, u, 0.0, 1.0) <= grand_inverse_cdf(
+            assert monotone_inverse(G, u, 0.0, 1.0) <= monotone_inverse(
                 F, u, 0.0, 1.0
             ) + 1e-15
 
 
-def _tilted_cell(lower, upper, slope):
-    # CDF of density proportional to 1 + slope*(x-lower)/(upper-lower)
-    width = upper - lower
+# The matched refinement is stage 2 of ``swm_draw``: the draw inside the
+# digit cell picked by stage 1.  Depth k = 1, so cells have width 0.1.
+_TENK = 10.0
+_W = 0.1
 
-    def cdf(x):
-        t = (x - lower) / width
-        return (t + 0.5 * slope * t * t) / (1 + 0.5 * slope)
 
-    return CellLaw(lower, upper, cdf)
+def _draw(mean, sig, eps, iota):
+    return swm_draw(mean, sig, _TENK, _W, eps, iota.u_primary, iota.u_refine, iota.u_match)
 
 
 def test_matched_refine_uniform_cell_is_law_independent():
-    cell = CellLaw(0.2, 0.3, lambda x: (x - 0.2) / 0.1)
-    iota = randomness_from_key(mix64(99))
-    v1, m1 = matched_refine(cell, iota, eps=0.4)
-    cell2 = CellLaw(0.2, 0.3, lambda x: (x - 0.2) / 0.1)
-    v2, m2 = matched_refine(cell2, iota, eps=0.4)
-    assert v1 == v2 and m1 == m2
+    # the flat law (sig = 0) ignores the neighbour mean on both branches
+    for key in range(200):
+        iota = randomness_from_key(mix64(key))
+        assert _draw(-0.7, 0.0, 0.4, iota) == _draw(0.6, 0.0, 0.4, iota)
 
 
 def test_matched_refine_matching_branch_ignores_law():
-    # any iota with b_match == 0 must return the same point for wildly
-    # different admissible cell laws
+    # with b_match == 0 the value is a function of (cell, u_refine) alone:
+    # every law that picks the same cell returns the same point
     eps = 0.5
+    shared = 0
     for key in range(200):
         iota = randomness_from_key(mix64(key))
         if iota.b_match(eps) == 1:
             continue
-        c1 = _tilted_cell(0.0, 0.1, 0.4)
-        c2 = _tilted_cell(0.0, 0.1, -0.4)
-        v1, m1 = matched_refine(c1, iota, eps)
-        v2, m2 = matched_refine(c2, iota, eps)
-        assert m1 and m2
-        assert v1 == v2
+        by_cell = {}
+        for mean in (-0.9, -0.2, 0.0, 0.3, 0.8):
+            for sig in (0.0, 0.2, 0.6, 2.0):
+                v, c, matched = _draw(mean, sig, eps, iota)
+                assert matched
+                shared += c in by_cell
+                assert by_cell.setdefault(c, v) == v
+    assert shared > 500
 
 
 def test_matched_refine_matching_frequency():
     eps = 0.25
     n = 100000
     hits = 0
-    cell = _tilted_cell(0.0, 1.0, 0.2)
     for key in range(n):
-        _, matched = matched_refine(cell, randomness_from_key(mix64(key)), eps)
-        hits += matched
+        hits += _draw(0.2, 0.5, eps, randomness_from_key(mix64(key)))[2]
     p = hits / n
     stderr = math.sqrt(eps * (1 - eps) / n)
     assert abs(p - (1 - eps)) < 3 * stderr
 
 
 def test_matched_refine_preserves_domination():
-    # two tilted cell laws, one stochastically above the other
+    # a higher neighbour mean gives a stochastically larger law; with the
+    # same randomness the draw is ordered on both branches
     eps = 0.5
-    hi = _tilted_cell(0.0, 1.0, 0.8)  # density increasing: larger values
-    lo = _tilted_cell(0.0, 1.0, -0.44)
     for key in range(500):
         iota = randomness_from_key(mix64(key * 7 + 1))
-        v_lo, _ = matched_refine(lo, iota, eps)
-        v_hi, _ = matched_refine(hi, iota, eps)
-        assert v_lo <= v_hi + 1e-14
-
-
-def test_validate_cell_law_flags_violation():
-    # density 0.5 + x on the unit cell: minimum density 0.5, so the law
-    # dominates (1-eps)*uniform exactly when eps >= 0.5
-    law = CellLaw(0.0, 1.0, lambda x: 0.5 * x + 0.5 * x * x)
-    with pytest.raises(CalibrationError):
-        validate_cell_law(law, eps=0.1)
-    validate_cell_law(law, eps=0.6)
+        v_lo, _, _ = _draw(-0.3, 0.4, eps, iota)
+        v_hi, _, _ = _draw(0.25, 0.4, eps, iota)
+        assert v_lo <= v_hi

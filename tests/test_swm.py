@@ -235,12 +235,23 @@ def test_calibrate_matching_monotone_in_eps():
 
 
 def test_calibrated_depth_certifies_domination():
-    # at the calibrated k every cell law passes the residual validation
-    from exactspin.randomness import validate_cell_law
-
+    # at the calibrated k every cell law dominates (1 - eps) times the
+    # uniform law on its cell: the residual CDF
+    # (F_cell(x) - (1 - eps) * (x - a) / w) / eps is monotone on the cell
     beta, d, eps = 1.0, 2, 0.2
     k = calibrate_matching(beta, d, eps)
+    w = 10.0**-k
+    grid = 64
     for mean in (-1.0, -0.3, 0.5, 1.0):
         law = TruncatedNormalLaw(mean=mean, beta=beta, degree=2 * d)
         for cell in (-(10**k), -1, 0, 10**k - 1):
-            validate_cell_law(law.cell_law(cell, k), eps)
+            a, b = cell * w, (cell + 1) * w
+            fa, fb = law.cdf(a), law.cdf(b)
+            assert fb > fa
+            xs = [a + (b - a) * i / grid for i in range(grid + 1)]
+            tilde = [
+                ((law.cdf(x) - fa) / (fb - fa) - (1.0 - eps) * (x - a) / (b - a)) / eps
+                for x in xs
+            ]
+            for lo, hi in zip(tilde, tilde[1:]):
+                assert hi >= lo - 1e-12
