@@ -14,15 +14,13 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from . import swm as swm_mod
 from . import xy as xy_mod
 from .engine import MonotonicityError, SwmLattice, swm_sandwich
-from .lattice import BoxRegion, Vertex
-from .randomness import digit_cell, event_stream
+from .lattice import BoxRegion, Vertex, build_box
+from .randomness import MAX_DIGITS, UpdateEvent, digit_cell, event_stream
 from .swm import SwmField
 from .xy import XyTriple, box_graph, xy_extremes, xy_full_update
 
@@ -68,6 +66,10 @@ class WindowSpec:
             raise ValueError(f"unknown model {self.model!r}")
         if not (0.0 < self.eps < 1.0):
             raise ValueError("eps must lie in (0, 1)")
+        if self.beta < 0.0:
+            raise ValueError("beta must be >= 0")
+        if not (0 <= self.k <= MAX_DIGITS):
+            raise ValueError(f"digit depth k must be in [0, {MAX_DIGITS}]")
         floor = required_digits(self.model, self.beta, self.region.d, self.eps)
         if self.k < floor:
             raise ValueError(
@@ -105,30 +107,54 @@ class SandwichPair:
     def coalesced(self, v: Vertex) -> bool:
         if self.window.model == MODEL_SWM:
             return self.top.values[v] == self.bot.values[v]
-        if self.top.alpha[v] != self.bot.alpha[v]:
-            return False
-        g = self.top.graph
-        return all(
-            self.top.omega[e] == self.bot.omega[e]
-            and self.top.eta[e] == self.bot.eta[e]
-            for e in g.incident[v]
-        )
+        return _xy_equal_at(self.top, self.bot, v)
 
 
-def _swm_pair_fields(window: WindowSpec, lat: SwmLattice, top, bot) -> Tuple[SwmField, SwmField]:
-    zeta_top = window.boundary if window.boundary is not None else 1.0
-    zeta_bot = window.boundary if window.boundary is not None else -1.0
+def _xy_equal_at(a: XyTriple, b: XyTriple, v) -> bool:
+    """Equal angle at v and equal omega/eta on every edge at v."""
+    return a.alpha[v] == b.alpha[v] and all(
+        a.omega[e] == b.omega[e] and a.eta[e] == b.eta[e] for e in a.graph.incident[v]
+    )
+
+
+def xy_sandwich_steps(
+    hi: XyTriple, lo: XyTriple, events: Iterable[UpdateEvent], k: int, eps: float
+) -> Iterator[Tuple[UpdateEvent, XyTriple, XyTriple]]:
+    """Step the coupled XY lanes through ``events``, yielding (event, hi, lo).
+
+    Both lanes take the update at the event's vertex with the event's
+    randomness.  The sandwich order (angle of lo <= angle of hi at the
+    vertex, omega of lo >= omega of hi and eta of lo <= eta of hi on its
+    edges) is asserted after every update: a violation raises
+    MonotonicityError.
+    """
+    incident = hi.graph.incident
+    for ev in events:
+        u = ev.vertex
+        hi = xy_full_update(hi, u, ev.randomness, k, eps)
+        lo = xy_full_update(lo, u, ev.randomness, k, eps)
+        if hi.alpha[u] < lo.alpha[u]:
+            raise MonotonicityError(f"angle order violated at {u}, t={ev.time}")
+        for e in incident[u]:
+            if lo.omega[e] < hi.omega[e] or lo.eta[e] > hi.eta[e]:
+                raise MonotonicityError(f"edge order violated at {e}, t={ev.time}")
+        yield ev, hi, lo
+
+
+def _swm_pair_fields(
+    window: WindowSpec, lat: SwmLattice, top, bot, bc_top, bc_bot
+) -> Tuple[SwmField, SwmField]:
     ext = window.region.exterior_boundary()
 
     def mk(arr, zeta):
         if isinstance(zeta, Mapping):
             bmap = {y: float(zeta[y]) for y in ext}
         else:
-            bmap = {y: float(zeta) for y in ext}
-        vals = {v: float(arr[lat.index[v]]) for v in lat.vertices}
+            bmap = dict.fromkeys(ext, float(zeta))
+        vals = dict(zip(lat.vertices, arr.tolist()))
         return SwmField(window.region, vals, bmap, window.beta)
 
-    return mk(top, zeta_top), mk(bot, zeta_bot)
+    return mk(top, bc_top), mk(bot, bc_bot)
 
 
 def sandwich_run(
@@ -158,7 +184,7 @@ def sandwich_run(
             origin=origin,
             reseed=reseed,
         )
-        top, bot = _swm_pair_fields(window, lat, res.top, res.bot)
+        top, bot = _swm_pair_fields(window, lat, res.top, res.bot, bc_top, bc_bot)
         return SandwichPair(
             window, top, bot,
             origin_records=res.origin_records, event_count=res.event_count,
@@ -170,48 +196,10 @@ def sandwich_run(
         window.region, window.t_start, window.t_end, seed, reseed=reseed
     )
     records: List[Tuple[float, int]] = []
-    for ev in events:
-        hi = xy_full_update(hi, ev.vertex, ev.randomness, window.k, window.eps)
-        lo = xy_full_update(lo, ev.vertex, ev.randomness, window.k, window.eps)
-        u = ev.vertex
-        if hi.alpha[u] < lo.alpha[u]:
-            raise MonotonicityError(f"angle order violated at {u}, t={ev.time}")
-        for e in graph.incident[u]:
-            if lo.omega[e] < hi.omega[e] or lo.eta[e] > hi.eta[e]:
-                raise MonotonicityError(f"edge order violated at {e}, t={ev.time}")
-        if origin is not None and u == origin:
-            eq = (
-                hi.alpha[u] == lo.alpha[u]
-                and all(
-                    hi.omega[e] == lo.omega[e] and hi.eta[e] == lo.eta[e]
-                    for e in graph.incident[u]
-                )
-            )
-            records.append((ev.time, 1 if eq else 0))
+    for ev, hi, lo in xy_sandwich_steps(hi, lo, events, window.k, window.eps):
+        if ev.vertex == origin:
+            records.append((ev.time, 1 if _xy_equal_at(hi, lo, origin) else 0))
     return SandwichPair(window, hi, lo, origin_records=records, event_count=len(events))
-
-
-def apply_window(initial, window: WindowSpec, seed: int):
-    """Fold the window's ordered event list through the model's update."""
-    if window.model == MODEL_SWM:
-        if not isinstance(initial, SwmField):
-            raise TypeError("swm windows evolve SwmField configurations")
-        lat = SwmLattice(window.region.vertices())
-        from .engine import swm_evolve
-
-        init = np.array([initial.values[v] for v in lat.vertices])
-        out = swm_evolve(
-            lat, window.beta, window.k, window.eps,
-            window.t_start, window.t_end, seed, init, zeta=initial.boundary,
-        )
-        vals = {v: float(out[lat.index[v]]) for v in lat.vertices}
-        return SwmField(window.region, vals, dict(initial.boundary), window.beta)
-    if not isinstance(initial, XyTriple):
-        raise TypeError("xy windows evolve XyTriple configurations")
-    tau = initial.copy()
-    for ev in event_stream(window.region, window.t_start, window.t_end, seed):
-        tau = xy_full_update(tau, ev.vertex, ev.randomness, window.k, window.eps)
-    return tau
 
 
 @dataclass
@@ -355,7 +343,7 @@ def coupling_probability(
     """
     if not (0.0 <= s <= t):
         raise ValueError("need 0 <= s <= t")
-    region = build_box_cached(d, n)
+    region = build_box(d, n)
     origin = (0,) * d
     hits = 0
     for r in range(replicas):
@@ -398,10 +386,3 @@ def _pair_equal_at(pair: SandwichPair, v: Vertex, truncation: Optional[int]) -> 
             return False
     e0 = g.incident[v][0]
     return pair.top.omega[e0] == pair.bot.omega[e0] and pair.top.eta[e0] == pair.bot.eta[e0]
-
-
-@lru_cache(maxsize=None)
-def build_box_cached(d: int, n: int) -> BoxRegion:
-    from .lattice import build_box
-
-    return build_box(d, n)

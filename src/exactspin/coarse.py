@@ -21,18 +21,19 @@ from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tupl
 
 import numpy as np
 
-from .cftp import MODEL_SWM, MODEL_XY, required_digits
+from .cftp import MODEL_SWM, MODEL_XY, required_digits, xy_sandwich_steps
 from .engine import SwmLattice, swm_sandwich
 from .lattice import (
     Cell,
     CellWindow,
     WindowTooSmallError,
+    build_box,
     cluster_touches_boundary,
     star_boundary,
     star_zero_cluster,
 )
-from .randomness import event_stream, mix64, vertex_key
-from .xy import XyGraph, box_graph, xy_extremes, xy_full_update
+from .randomness import MAX_DIGITS, event_stream, mix64, vertex_key
+from .xy import XyGraph, box_graph, xy_extremes
 
 
 @dataclass(frozen=True)
@@ -50,6 +51,10 @@ class CoarseParams:
     def __post_init__(self):
         if self.model not in (MODEL_SWM, MODEL_XY):
             raise ValueError(f"unknown model {self.model!r}")
+        if self.beta < 0.0:
+            raise ValueError("beta must be >= 0")
+        if self.k is not None and not (0 <= self.k <= MAX_DIGITS):
+            raise ValueError(f"digit depth k must be in [0, {MAX_DIGITS}]")
         if self.L < 1:
             raise ValueError("L must be >= 1")
         if not (0.0 < self.delta < 1.0):
@@ -81,8 +86,6 @@ class CoarseParams:
 
 @lru_cache(maxsize=32)
 def _centered_lattice(d: int, radius: int) -> SwmLattice:
-    from .lattice import build_box
-
     return SwmLattice(build_box(d, radius).vertices())
 
 
@@ -95,8 +98,8 @@ def _core_mask_cached(d: int, radius: int, core: int) -> np.ndarray:
 def cell_is_mixed(cell: Cell, params: CoarseParams, seed: int) -> int:
     """1 iff the extremal dynamics agree on the cell's core through its slab."""
     if params.model == MODEL_SWM:
-        return _swm_cell_bit(cell, params, seed, check_crossings=False)
-    return _xy_cell_bit(cell, params, seed, check_crossings=False)
+        return _swm_cell_bit(cell, params, seed)
+    return _xy_cell_bit(cell, params, seed, good=False)
 
 
 def cell_is_good(cell: Cell, params: CoarseParams, seed: int) -> int:
@@ -104,10 +107,10 @@ def cell_is_good(cell: Cell, params: CoarseParams, seed: int) -> int:
     inner L-box at every in-slab event time."""
     if params.model != MODEL_XY:
         raise ValueError("good cells are defined for the XY model only")
-    return _xy_cell_bit(cell, params, seed, check_crossings=True)
+    return _xy_cell_bit(cell, params, seed, good=True)
 
 
-def _swm_cell_bit(cell: Cell, params: CoarseParams, seed: int, check_crossings: bool) -> int:
+def _swm_cell_bit(cell: Cell, params: CoarseParams, seed: int) -> int:
     j, x = cell
     nL = params.n_L
     lat = _centered_lattice(params.d, 2 * nL)
@@ -164,17 +167,14 @@ def _box_crossing(graph: XyGraph, bond: Mapping, center, radius: int) -> bool:
     return False
 
 
-def _xy_cell_bit(cell: Cell, params: CoarseParams, seed: int, check_crossings: bool) -> int:
+def _xy_cell_bit(cell: Cell, params: CoarseParams, seed: int, good: bool) -> int:
     j, x = cell
     nL = params.n_L
     center = params.fine_center(x)
-    from .lattice import build_box
-
     zone = build_box(params.d, 2 * nL, center)
     graph = box_graph(zone)
     lo, hi = xy_extremes(graph, params.beta)
     slab_lo, slab_hi = params.slab(j)
-    k = params.digits
 
     core_verts = [
         v for v in graph.free if max(abs(a - c) for a, c in zip(v, center)) < nL
@@ -189,34 +189,29 @@ def _xy_cell_bit(cell: Cell, params: CoarseParams, seed: int, check_crossings: b
         )
     ]
 
-    def core_equal() -> bool:
-        return all(hi.alpha[v] == lo.alpha[v] for v in core_verts) and all(
-            hi.omega[e] == lo.omega[e] and hi.eta[e] == lo.eta[e]
-            for e in core_edges
-        )
-
-    def crossing_free() -> bool:
-        if not check_crossings:
-            return True
-        return not (
+    def holds(hi, lo) -> bool:
+        if not (
+            all(hi.alpha[v] == lo.alpha[v] for v in core_verts)
+            and all(hi.omega[e] == lo.omega[e] and hi.eta[e] == lo.eta[e] for e in core_edges)
+        ):
+            return False
+        return not good or not (
             _box_crossing(graph, hi.omega, center, params.L)
             or _box_crossing(graph, hi.eta, center, params.L)
         )
 
-    entered = False
+    # events come in time order: the run-in is a prefix, checked once at
+    # the slab entry, then the core is checked after every in-slab event
     events = event_stream(zone, params.run_start(j), slab_hi, seed)
-    for ev in events:
-        if not entered and ev.time > slab_lo:
-            if not (core_equal() and crossing_free()):
-                return 0
-            entered = True
-        hi = xy_full_update(hi, ev.vertex, ev.randomness, k, params.eps)
-        lo = xy_full_update(lo, ev.vertex, ev.randomness, k, params.eps)
-        if entered:
-            if not (core_equal() and crossing_free()):
-                return 0
-    if not entered:
-        return 1 if (core_equal() and crossing_free()) else 0
+    n_run_in = sum(1 for ev in events if ev.time <= slab_lo)
+    k, eps = params.digits, params.eps
+    for _, hi, lo in xy_sandwich_steps(hi, lo, events[:n_run_in], k, eps):
+        pass
+    if not holds(hi, lo):
+        return 0
+    for _, hi, lo in xy_sandwich_steps(hi, lo, events[n_run_in:], k, eps):
+        if not holds(hi, lo):
+            return 0
     return 1
 
 

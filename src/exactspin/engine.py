@@ -281,28 +281,3 @@ def swm_sandwich(
         mixed_ok = neq_core == 0  # covers slabs containing no event
     return SwmRunResult(top, bot, mixed_ok=mixed_ok,
                         origin_records=records, event_count=nev)
-
-
-def swm_evolve(
-    lattice: SwmLattice,
-    beta: float,
-    k: int,
-    eps: float,
-    t_start: float,
-    t_end: float,
-    seed: int,
-    init: np.ndarray,
-    zeta,
-    reseed: Optional[Mapping[Vertex, int]] = None,
-) -> np.ndarray:
-    """Single trajectory from ``init`` with boundary condition ``zeta``.
-
-    Runs the sandwich kernel with both lanes equal; they stay equal
-    because coinciding inputs produce bitwise-equal updates.
-    """
-    res = swm_sandwich(
-        lattice, beta, k, eps, t_start, t_end, seed,
-        init_top=init, init_bot=init, reseed=reseed,
-        bc_top=zeta, bc_bot=zeta,
-    )
-    return res.top

@@ -8,7 +8,6 @@ from exactspin.cftp import (
     MODEL_XY,
     CftpResult,
     WindowSpec,
-    apply_window,
     auto_window,
     cftp_sample,
     coupling_probability,
@@ -16,7 +15,6 @@ from exactspin.cftp import (
 )
 from exactspin.lattice import build_box
 from exactspin.oracle import instance_from_box, quadrature_cdf, rejection_sample
-from exactspin.swm import SwmField, constant_field
 from exactspin.xy import BC_PLUS_ONE, XyTriple, box_graph, xy_extremes, xy_leq
 
 
@@ -27,47 +25,17 @@ def test_window_validates_calibration():
     for t_start, t_end in ((1.0, 1.0), (-1.0, -2.0), (-1.0, 0.5)):
         with pytest.raises(ValueError):
             WindowSpec(region, t_start, t_end, MODEL_SWM, beta=1.0, k=3, eps=0.1)
+    # digit depths past 15 would hang the float cell search; negative
+    # beta has no Gibbs law
+    for model, beta, k in ((MODEL_SWM, 0.5, 16), (MODEL_XY, 0.5, 16), (MODEL_SWM, 0.5, -1),
+                           (MODEL_SWM, -0.5, 3), (MODEL_XY, -0.5, 3)):
+        with pytest.raises(ValueError):
+            WindowSpec(region, -4.0, 0.0, model, beta=beta, k=k, eps=0.1)
+    with pytest.raises(ValueError):
+        cftp_sample(region, [(0, 0)], MODEL_SWM, 0.5, seed=1, boundary=0.0, k=16)
     WindowSpec(region, -1.0, -1.0, MODEL_SWM, beta=1.0, k=3, eps=0.1)
+    WindowSpec(region, -1.0, 0.0, MODEL_SWM, beta=1.0, k=15, eps=0.1)
     auto_window(region, -4.0, 0.0, MODEL_SWM, beta=1.0, eps=0.1)
-
-
-def test_apply_window_empty_is_identity():
-    region = build_box(2, 2)
-    field = constant_field(region, beta=0.5, value=0.25, bc=0.0)
-    window = auto_window(region, 0.0, 0.0, MODEL_SWM, beta=0.5)
-    out = apply_window(field, window, seed=5)
-    assert out.values == field.values
-
-
-def test_apply_window_single_event_changes_one_site():
-    from exactspin.randomness import event_stream
-
-    region = build_box(2, 2)
-    field = constant_field(region, beta=0.5, value=0.0, bc=0.0)
-    evs = event_stream(region, -4.0, 0.0, seed=3)
-    first = evs[0]
-    window = auto_window(region, -4.0, first.time, MODEL_SWM, beta=0.5)
-    out = apply_window(field, window, seed=3)
-    changed = [v for v in region.vertices() if out.values[v] != field.values[v]]
-    assert changed == [first.vertex]
-
-
-def test_apply_window_monotone_in_initial():
-    import random
-
-    region = build_box(2, 2)
-    rng = random.Random(1)
-    for seed in range(200):
-        lo_vals = {v: rng.uniform(-1, 1) for v in region.vertices()}
-        hi_vals = {v: rng.uniform(lo_vals[v], 1.0) for v in region.vertices()}
-        bmap = {y: 0.0 for y in region.exterior_boundary()}
-        lo = SwmField(region, lo_vals, bmap, 0.5)
-        hi = SwmField(region, hi_vals, bmap, 0.5)
-        window = auto_window(region, -2.0, 0.0, MODEL_SWM, beta=0.5)
-        out_lo = apply_window(lo, window, seed)
-        out_hi = apply_window(hi, window, seed)
-        for v in region.vertices():
-            assert out_lo.values[v] <= out_hi.values[v]
 
 
 def test_sandwich_zero_window_is_extremal():

@@ -6,17 +6,21 @@ import pytest
 from exactspin.coarse import CoarseParams, DegenerateSampleError, cell_is_mixed, tail_fit
 
 
-@pytest.mark.parametrize("L, expected", [(2, 0.8786), (1, 0.6465)])
-def test_cell_is_mixed_beta_zero_closed_form(L, expected):
-    # at beta = 0 every draw ignores the neighbours, so top and bottom
+@pytest.mark.parametrize("model, L, expected, n", [
+    pytest.param("swm", 2, 0.8786, 2000, id="2-0.8786"),
+    pytest.param("swm", 1, 0.6465, 2000, id="1-0.6465"),
+    pytest.param("xy", 1, 0.6465, 1000, id="xy-1-0.6465"),
+])
+def test_cell_is_mixed_beta_zero_closed_form(model, L, expected, n):
+    # at beta = 0 every draw ignores the neighbours (an XY update also
+    # closes the site's edges and draws a flat angle), so top and bottom
     # agree at a site from its first update on: a cell is mixed iff each
     # of its (2 n_L - 1)^d core sites is updated during the run-in of
     # length n_L, which has probability (1 - e^{-n_L})^{(2 n_L - 1)^d}
-    params = CoarseParams(model="swm", beta=0.0, d=1, L=L, delta=0.5)
+    params = CoarseParams(model=model, beta=0.0, d=1, L=L, delta=0.5)
     nL = params.n_L
     p = (1.0 - math.exp(-nL)) ** ((2 * nL - 1) ** params.d)
     assert abs(p - expected) < 1e-4
-    n = 2000
     hits = 0
     for seed in range(n):
         # vary the cell too, so the offset and slab placement are exercised
@@ -24,6 +28,15 @@ def test_cell_is_mixed_beta_zero_closed_form(L, expected):
         hits += cell_is_mixed(cell, params, seed)
     sigma = math.sqrt(p * (1.0 - p) / n)
     assert abs(hits / n - p) < 4.0 * sigma
+
+
+def test_coarse_params_reject_bad_depth_and_beta():
+    for model in ("swm", "xy"):
+        for beta, k in ((0.5, 16), (0.5, -1), (-0.5, None), (-0.5, 2)):
+            with pytest.raises(ValueError):
+                CoarseParams(model=model, beta=beta, d=1, L=1, delta=0.5, k=k)
+        CoarseParams(model=model, beta=0.5, d=1, L=1, delta=0.5, k=15)
+        CoarseParams(model=model, beta=0.0, d=1, L=1, delta=0.5)
 
 
 def test_tail_fit_recovers_geometric_rate():

@@ -3,16 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from exactspin.cftp import MODEL_SWM, required_digits
 from exactspin.engine import (
     MonotonicityError,
     SwmLattice,
     sorted_events,
-    swm_evolve,
     swm_sandwich,
 )
 from exactspin.lattice import build_box
 from exactspin.randomness import event_stream, randomness_from_key
-from exactspin.swm import SwmField, swm_update
+from exactspin.swm import SwmField, constant_field, swm_update
 
 
 def test_engine_stream_matches_object_stream():
@@ -80,11 +80,16 @@ def test_evolve_single_trajectory_stays_in_range():
     box = build_box(2, 3)
     lat = SwmLattice(box.vertices())
     init = np.zeros(lat.size)
-    out = swm_evolve(lat, 0.5, 2, 0.15, -10.0, 0.0, 5, init, zeta=0.0)
-    assert np.all(np.abs(out) <= 1.0)
+    # a single trajectory is a sandwich with both lanes started equal:
+    # coinciding inputs give bitwise-equal updates, so the lanes stay equal
+    res = swm_sandwich(lat, 0.5, 2, 0.15, -10.0, 0.0, 5, bc_top=0.0, bc_bot=0.0,
+                       init_top=init, init_bot=init)
+    assert np.array_equal(res.top, res.bot)
+    assert np.all(np.abs(res.top) <= 1.0)
     # deterministic in the seed
-    out2 = swm_evolve(lat, 0.5, 2, 0.15, -10.0, 0.0, 5, init, zeta=0.0)
-    assert np.array_equal(out, out2)
+    res2 = swm_sandwich(lat, 0.5, 2, 0.15, -10.0, 0.0, 5, bc_top=0.0, bc_bot=0.0,
+                        init_top=init, init_bot=init)
+    assert np.array_equal(res.top, res2.top)
 
 
 def test_evolve_respects_boundary_map():
@@ -92,9 +97,60 @@ def test_evolve_respects_boundary_map():
     lat = SwmLattice(box.vertices())
     init = np.zeros(lat.size)
     zmap = {y: 0.9 for y in box.exterior_boundary()}
-    out = swm_evolve(lat, 2.0, 2, 0.15, -30.0, 0.0, 9, init, zeta=zmap)
+    res = swm_sandwich(lat, 2.0, 2, 0.15, -30.0, 0.0, 9, bc_top=zmap, bc_bot=zmap,
+                       init_top=init, init_bot=init)
+    assert np.array_equal(res.top, res.bot)
     # strong positive boundary pulls the field up
-    assert out.mean() > 0.2
+    assert res.top.mean() > 0.2
+
+
+def _evolve_pair(hi: SwmField, lo: SwmField, t_start, t_end, seed):
+    """Both fields run through the window's events as the two lanes of
+    one sandwich, under the fields' (shared) boundary map."""
+    lat = SwmLattice(hi.region.vertices())
+    k = required_digits(MODEL_SWM, hi.beta, hi.region.d, 0.1)
+    res = swm_sandwich(
+        lat, hi.beta, k, 0.1, t_start, t_end, seed,
+        bc_top=hi.boundary, bc_bot=lo.boundary,
+        init_top=np.array([hi.values[v] for v in lat.vertices]),
+        init_bot=np.array([lo.values[v] for v in lat.vertices]),
+    )
+    return ({v: float(res.top[lat.index[v]]) for v in lat.vertices},
+            {v: float(res.bot[lat.index[v]]) for v in lat.vertices})
+
+
+def test_equal_lanes_empty_window_is_identity():
+    region = build_box(2, 2)
+    field = constant_field(region, beta=0.5, value=0.25, bc=0.0)
+    top, bot = _evolve_pair(field, field, 0.0, 0.0, seed=5)
+    assert top == bot == field.values
+
+
+def test_equal_lanes_single_event_changes_one_site():
+    region = build_box(2, 2)
+    field = constant_field(region, beta=0.5, value=0.0, bc=0.0)
+    evs = event_stream(region, -4.0, 0.0, seed=3)
+    first = evs[0]
+    top, bot = _evolve_pair(field, field, -4.0, first.time, seed=3)
+    assert top == bot
+    changed = [v for v in region.vertices() if top[v] != field.values[v]]
+    assert changed == [first.vertex]
+
+
+def test_lanes_monotone_in_initial():
+    import random
+
+    region = build_box(2, 2)
+    rng = random.Random(1)
+    for seed in range(200):
+        lo_vals = {v: rng.uniform(-1, 1) for v in region.vertices()}
+        hi_vals = {v: rng.uniform(lo_vals[v], 1.0) for v in region.vertices()}
+        bmap = {y: 0.0 for y in region.exterior_boundary()}
+        lo = SwmField(region, lo_vals, bmap, 0.5)
+        hi = SwmField(region, hi_vals, bmap, 0.5)
+        out_hi, out_lo = _evolve_pair(hi, lo, -2.0, 0.0, seed)
+        for v in region.vertices():
+            assert out_lo[v] <= out_hi[v]
 
 
 def test_mixed_monitoring_beta_zero_couples():

@@ -2,15 +2,18 @@
 
 Coupled lanes must see bitwise-equal randomness and conditional laws, so
 any change to event generation, ordering or the update kernel that moves
-one bit of a trajectory shows up here.  The digests were recorded from
-the engine before its event generator was rewritten and must never be
-updated to follow a change in the numbers.
+one bit of a trajectory shows up here.  The SWM digests were recorded
+from the engine before its event generator was rewritten, the XY ones
+before the XY lane loop was shared between CFTP and coarse cells; none
+may be updated to follow a change in the numbers.
 """
 
 import hashlib
 
 import pytest
 
+from exactspin.cftp import MODEL_XY, auto_window, sandwich_run
+from exactspin.coarse import CoarseParams, cell_is_good, cell_is_mixed
 from exactspin.engine import SwmLattice, swm_sandwich
 from exactspin.lattice import build_box
 from exactspin.randomness import event_stream
@@ -97,3 +100,30 @@ def test_event_stream_digest():
         items += [e.time, e.vertex, r.u_primary, r.u_refine, r.u_match, r.key]
     expected = "0480d8a00c60bfc2096b69b68da54d8e954cb1140d1ca45672bc57ba3576f5b7"
     assert _digest(items) == expected
+
+
+def test_xy_sandwich_digest():
+    window = auto_window(build_box(2, 2), -6.0, 0.0, MODEL_XY, beta=1.0, boundary="+1")
+    items = []
+    for seed in (4, 5):
+        pair = sandwich_run(window, seed, origin=(0, 0))
+        g = pair.top.graph
+        for tau in (pair.top, pair.bot):
+            items += [tau.alpha[n] for n in g.nodes]
+            items += [tau.omega[e] for e in g.edges]
+            items += [tau.eta[e] for e in g.edges]
+        for t, eq in pair.origin_records:
+            items += [float(t), int(eq)]
+        items.append(pair.event_count)
+    expected = "b095314d3d2e52cdf278ec8484703cc633f5d4feec9e64f92f344c8762585b00"
+    assert _digest(items) == expected
+
+
+def test_xy_cell_bits_digest():
+    params = CoarseParams(model="xy", beta=0.0, d=1, L=1, delta=0.5)
+    cases = [((-(s % 3), (s % 5 - 2,)), s) for s in range(60)]
+    mixed = [cell_is_mixed(cell, params, seed) for cell, seed in cases]
+    good = [cell_is_good(cell, params, seed) for cell, seed in cases]
+    assert 0 < sum(mixed) < len(cases) and 0 < sum(good) < len(cases)
+    expected = "3245c105207b244f70a97f8a6fe4565825058d2d004f321d8a8ce0f13b86006d"
+    assert _digest(mixed + good) == expected
