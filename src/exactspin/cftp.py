@@ -20,7 +20,7 @@ from . import swm as swm_mod
 from . import xy as xy_mod
 from .engine import MonotonicityError, SwmLattice, swm_sandwich
 from .lattice import BoxRegion, Vertex, build_box
-from .randomness import MAX_DIGITS, UpdateEvent, digit_cell, event_stream
+from .randomness import MAX_DIGITS, UpdateEvent, check_window, digit_cell, event_stream
 from .swm import SwmField
 from .xy import XyTriple, box_graph, xy_extremes, xy_full_update
 
@@ -60,8 +60,7 @@ class WindowSpec:
     boundary: Optional[object] = None  # swm: zeta value; xy: bc string
 
     def __post_init__(self):
-        if not self.t_start <= self.t_end <= 0:
-            raise ValueError("need t_start <= t_end <= 0")
+        check_window(self.t_start, self.t_end)
         if self.model not in (MODEL_SWM, MODEL_XY):
             raise ValueError(f"unknown model {self.model!r}")
         if not (0.0 < self.eps < 1.0):
@@ -300,7 +299,6 @@ class CouplingEstimate:
     probability: float
     stderr: float
     replicas: int
-    censored: int = 0
 
 
 def _origin_equal_throughout(

@@ -445,7 +445,7 @@ def decoupling_check(
                 raise RuntimeError(
                     "anchor failed to coalesce inside its shielded window"
                 )
-            return res.top[idx]
+            return float(res.top[idx])
 
         base = value_at(None)
         reseed = {}

@@ -1,23 +1,27 @@
-"""Array-based trajectory engine for square well dynamics.
+"""Trajectory engine for square well dynamics.
 
-Plain Python over numpy arrays.  Events come from the one generator,
+Plain Python over lists and floats: the two lanes and the neighbour
+table are Python lists and each chunk's events reach the update loop as
+Python values, so the update kernel :func:`exactspin._scalar.swm_draw`
+(the same one the object-level update calls) only ever sees Python
+floats.  Events come from the one generator,
 :func:`exactspin.randomness.block_events`, so the engine sees exactly
-the events of the object-level :func:`exactspin.randomness.event_stream`;
-the update kernel is :func:`exactspin._scalar.swm_draw`, the same one
-the object-level update calls.
+the events of the object-level :func:`exactspin.randomness.event_stream`.
+numpy appears only at the edges: the generated arrays are sorted with
+``argsort`` and the run's final lanes are returned as arrays.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import _scalar
 from .lattice import Vertex, neighbors
-from .randomness import block_events, vertex_key, window_blocks
+from .randomness import block_events, check_window, vertex_key, window_blocks
 
 
 def _gen_events(vkeys, first_block, last_block, t_start, t_end):
@@ -53,75 +57,45 @@ def sorted_events(vkeys: Sequence[int], t_start: float, t_end: float):
 _swm_draw = _scalar.swm_draw
 
 
-def _swm_chunk(
-    top,
-    bot,
-    times,
-    sidx,
-    up,
-    ur,
-    um,
-    nbr,
-    bsum_t,
-    bsum_b,
-    inv_deg,
-    sig,
-    tenk,
-    w,
-    eps,
-    core_mask,
-    slab_lo,
-    entered,
-    neq_core,
-    origin_idx,
-    rec_time,
-    rec_eq,
-):
-    """Evolve one chunk of the sandwich; returns (status, entered, neq, nrec).
-
-    status: -1 ok, -2 core equality failed inside/entering the slab,
-    i >= 0 the event index of a sandwich-order violation.
-    """
-    nrec = 0
-    deg = nbr.shape[1]
-    for i in range(times.size):
-        t = times[i]
-        if entered == 0 and t > slab_lo:
-            if neq_core > 0:
-                return -2, 1, neq_core, nrec
-            entered = 1
-        vi = sidx[i]
-        st = bsum_t[vi]
-        sb = bsum_b[vi]
-        for j in range(deg):
-            nj = nbr[vi, j]
-            if nj >= 0:
-                st += top[nj]
-                sb += bot[nj]
-        vt, ct, mt = _swm_draw(st * inv_deg, sig, tenk, w, eps, up[i], ur[i], um[i])
-        vb, cb, mb = _swm_draw(sb * inv_deg, sig, tenk, w, eps, up[i], ur[i], um[i])
-        if vt < vb:
-            return i, entered, neq_core, nrec
-        if core_mask[vi]:
-            was_eq = top[vi] == bot[vi]
-            now_eq = vt == vb
-            if was_eq and not now_eq:
-                neq_core += 1
-            elif now_eq and not was_eq:
-                neq_core -= 1
-        top[vi] = vt
-        bot[vi] = vb
-        if entered == 1 and neq_core > 0:
-            return -2, entered, neq_core, nrec
-        if vi == origin_idx:
-            rec_time[nrec] = t
-            rec_eq[nrec] = 1 if vt == vb else 0
-            nrec += 1
-    return -1, entered, neq_core, nrec
-
-
 class MonotonicityError(RuntimeError):
     """The sandwich order was violated at an update (hard failure)."""
+
+
+def _swm_chunk(lattice, top, bot, events, bsum_t, bsum_b, law, core, neq, check,
+               origin_idx, records):
+    """Step both lanes in place through one chunk of time-ordered events.
+
+    ``events`` yields (time, site, u_primary, u_refine, u_match) and
+    ``law`` is (sig, tenk, w, eps, 1/degree).  Returns the number of
+    ``core`` sites where the lanes differ.  With ``check`` set the chunk
+    stops at the first event that leaves the core split, so a nonzero
+    return then means an early exit.  The update times at site
+    ``origin_idx`` are appended to ``records`` with the lanes' equality
+    there.
+    """
+    nbrs = lattice.nbrs
+    sig, tenk, w, eps, inv_deg = law
+    for t, vi, up, ur, um in events:
+        st = bsum_t[vi]
+        sb = bsum_b[vi]
+        for nj in nbrs[vi]:
+            st += top[nj]
+            sb += bot[nj]
+        vt = _swm_draw(st * inv_deg, sig, tenk, w, eps, up, ur, um)[0]
+        vb = _swm_draw(sb * inv_deg, sig, tenk, w, eps, up, ur, um)[0]
+        if vt < vb:
+            raise MonotonicityError(
+                f"sandwich order violated at site {lattice.vertices[vi]}, time {t}"
+            )
+        if core[vi]:
+            neq += (vt != vb) - (top[vi] != bot[vi])
+        top[vi] = vt
+        bot[vi] = vb
+        if check and neq:
+            return neq
+        if vi == origin_idx:
+            records.append((t, 1 if vt == vb else 0))
+    return neq
 
 
 class SwmLattice:
@@ -133,36 +107,27 @@ class SwmLattice:
             raise ValueError("empty vertex set")
         self.d = len(self.vertices[0])
         self.index: Dict[Vertex, int] = {v: i for i, v in enumerate(self.vertices)}
-        S = len(self.vertices)
-        deg = 2 * self.d
-        self.nbr = np.full((S, deg), -1, np.int64)
-        self.boundary_sites: List[List[Vertex]] = [[] for _ in range(S)]
-        for i, v in enumerate(self.vertices):
-            for j, wv in enumerate(neighbors(v)):
-                k = self.index.get(wv)
-                if k is None:
-                    self.boundary_sites[i].append(wv)
-                else:
-                    self.nbr[i, j] = k
-        self.bcount = np.array(
-            [len(b) for b in self.boundary_sites], dtype=np.float64
-        )
+        # in-box neighbour indices and out-of-box neighbours, each in
+        # ``neighbors`` order, which fixes the order of the update's sums
+        self.nbrs: List[Tuple[int, ...]] = []
+        self.boundary_sites: List[List[Vertex]] = []
+        for v in self.vertices:
+            near = neighbors(v)
+            self.nbrs.append(tuple(self.index[u] for u in near if u in self.index))
+            self.boundary_sites.append([u for u in near if u not in self.index])
 
     @property
     def size(self) -> int:
         return len(self.vertices)
 
-    def bsum(self, zeta) -> np.ndarray:
+    def bsum(self, zeta) -> List[float]:
         """Per-site sum of boundary values under the boundary condition.
 
         ``zeta`` is a constant or a mapping vertex -> value.
         """
         if isinstance(zeta, Mapping):
-            return np.array(
-                [sum(zeta[y] for y in b) for b in self.boundary_sites],
-                dtype=np.float64,
-            )
-        return self.bcount * float(zeta)
+            return [float(sum(zeta[y] for y in b)) for b in self.boundary_sites]
+        return [len(b) * float(zeta) for b in self.boundary_sites]
 
     def vkeys(
         self,
@@ -184,14 +149,30 @@ class SwmLattice:
         return np.array([bool(predicate(v)) for v in self.vertices], dtype=np.bool_)
 
 
-def _chunk_bounds(t_start: float, t_end: float, span: float) -> List[Tuple[float, float]]:
-    bounds = []
+def _event_values(times, sidx, up, ur, um):
+    """A chunk's sorted event arrays as (time, site, u_primary, u_refine,
+    u_match) Python values.  Converted about a thousand events at a
+    time, so the lists stay small next to the arrays (a float list costs
+    four times the array) and peak memory stays that of the arrays."""
+    step = 1024
+    for i in range(0, times.size, step):
+        s = slice(i, i + step)
+        yield from zip(times[s].tolist(), sidx[s].tolist(), up[s].tolist(),
+                       ur[s].tolist(), um[s].tolist())
+
+
+def _chunk_bounds(
+    t_start: float, t_end: float, span: float, cut: float
+) -> Iterator[Tuple[float, float]]:
+    """Consecutive (lo, hi] pieces of (t_start, t_end], none longer than
+    ``span`` and none straddling ``cut``."""
     lo = t_start
     while lo < t_end:
         hi = min(t_end, lo + span)
-        bounds.append((lo, hi))
+        if lo < cut < hi:
+            hi = cut
+        yield lo, hi
         lo = hi
-    return bounds
 
 
 @dataclass
@@ -229,55 +210,36 @@ def swm_sandwich(
     (the run exits early on the first failure).  ``origin`` collects the
     per-update equality record at one site for coupling statistics.
     """
+    check_window(t_start, t_end)
     S = lattice.size
     deg = 2 * lattice.d
-    top = np.full(S, 1.0) if init_top is None else init_top.astype(np.float64).copy()
-    bot = np.full(S, -1.0) if init_bot is None else init_bot.astype(np.float64).copy()
+    top = [1.0] * S if init_top is None else np.asarray(init_top, np.float64).tolist()
+    bot = [-1.0] * S if init_bot is None else np.asarray(init_bot, np.float64).tolist()
     bsum_t = lattice.bsum(bc_top)
     bsum_b = lattice.bsum(bc_bot)
     sig = 0.0 if beta == 0.0 else 1.0 / math.sqrt(2.0 * beta * deg)
-    tenk = float(10**k)
-    w = 10.0**-k
+    law = (sig, float(10**k), 10.0**-k, eps, 1.0 / deg)
     vkeys = lattice.vkeys(seed, reseed, offset=offset)
     monitoring = core_mask is not None
-    if core_mask is None:
-        core_mask = np.zeros(S, np.bool_)
-    neq_core = int(np.count_nonzero((top != bot) & core_mask))
-    entered = 0 if monitoring else 1
+    core = np.asarray(core_mask).tolist() if monitoring else [False] * S
     if not monitoring:
         slab_lo = math.inf
+    neq = sum(1 for a, b, c in zip(top, bot, core) if c and a != b)
     origin_idx = -1 if origin is None else lattice.index[origin]
     records: List[Tuple[float, int]] = []
     span = max(1.0, 2.0e6 / S)
     nev = 0
-    status = -1
-    for lo, hi in _chunk_bounds(t_start, t_end, span):
+    for lo, hi in _chunk_bounds(t_start, t_end, span, slab_lo):
         times, sidx, _, up, ur, um = sorted_events(vkeys, lo, hi)
         nev += times.size
-        if origin_idx >= 0:
-            rec_time = np.empty(times.size, np.float64)
-            rec_eq = np.empty(times.size, np.int8)
-        else:
-            rec_time = np.empty(0, np.float64)
-            rec_eq = np.empty(0, np.int8)
-        status, entered, neq_core, nrec = _swm_chunk(
-            top, bot, times, sidx, up, ur, um,
-            lattice.nbr, bsum_t, bsum_b, 1.0 / deg, sig, tenk, w, eps,
-            core_mask, slab_lo, entered, neq_core,
-            origin_idx, rec_time, rec_eq,
-        )
-        for i in range(nrec):
-            records.append((float(rec_time[i]), int(rec_eq[i])))
-        if status >= 0:
-            v = lattice.vertices[int(sidx[status])]
-            raise MonotonicityError(
-                f"sandwich order violated at site {v}, time {times[status]}"
-            )
-        if status == -2:
-            return SwmRunResult(top, bot, mixed_ok=False,
-                                origin_records=records, event_count=nev)
-    mixed_ok: Optional[bool] = None
-    if monitoring:
-        mixed_ok = neq_core == 0  # covers slabs containing no event
-    return SwmRunResult(top, bot, mixed_ok=mixed_ok,
+        in_slab = lo >= slab_lo
+        if in_slab and neq:
+            break  # the core is split at slab entry
+        events = _event_values(times, sidx, up, ur, um)
+        neq = _swm_chunk(lattice, top, bot, events, bsum_t, bsum_b, law, core, neq,
+                         in_slab, origin_idx, records)
+        if in_slab and neq:
+            break
+    mixed_ok = neq == 0 if monitoring else None  # covers slabs containing no event
+    return SwmRunResult(np.array(top), np.array(bot), mixed_ok=mixed_ok,
                         origin_records=records, event_count=nev)

@@ -118,6 +118,15 @@ def window_blocks(t_start: float, t_end: float) -> Tuple[int, int]:
     return max(0, math.floor(-t_end)), math.ceil(-t_start) - 1
 
 
+def check_window(t_start: float, t_end: float) -> None:
+    """Reject a time window (t_start, t_end] unless t_start <= t_end <= 0.
+
+    Dynamics run from the past up to time 0; an empty window is legal.
+    """
+    if not t_start <= t_end <= 0:
+        raise ValueError(f"need t_start <= t_end <= 0, got ({t_start}, {t_end}]")
+
+
 def block_events(
     vkeys: Sequence[int],
     first_block: int,
@@ -166,12 +175,7 @@ def event_stream(
     ``reseed`` swaps the master seed for selected vertices, which
     re-randomizes their whole event line (used by decoupling checks).
     """
-    if t_start >= t_end:
-        if t_start == t_end:
-            return []
-        raise ValueError("need t_start < t_end <= 0")
-    if t_end > 0:
-        raise ValueError("windows end at or before time 0")
+    check_window(t_start, t_end)
     verts = region.vertices() if isinstance(region, BoxRegion) else list(region)
     vkeys = [
         vertex_key(seed if reseed is None else reseed.get(v, seed), v) for v in verts

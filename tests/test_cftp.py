@@ -12,9 +12,12 @@ from exactspin.cftp import (
     cftp_sample,
     coupling_probability,
     sandwich_run,
+    xy_sandwich_steps,
 )
+from exactspin.engine import MonotonicityError
 from exactspin.lattice import build_box
 from exactspin.oracle import instance_from_box, quadrature_cdf, rejection_sample
+from exactspin.randomness import event_stream
 from exactspin.xy import BC_PLUS_ONE, XyTriple, box_graph, xy_extremes, xy_leq
 
 
@@ -63,6 +66,20 @@ def test_sandwich_order_xy():
     for seed in range(5):
         pair = sandwich_run(window, seed)
         assert xy_leq(pair.bot, pair.top)
+
+
+def test_xy_swapped_lanes_raise_monotonicity_error():
+    # the lanes passed the wrong way round: the first update inverts the
+    # angle order at its site, and the error names that site
+    region = build_box(2, 2)
+    graph = box_graph(region)
+    for seed in range(5):
+        lo, hi = xy_extremes(graph, 1.0)
+        events = event_stream(region, -2.0, 0.0, seed)
+        with pytest.raises(MonotonicityError) as err:
+            for _ in xy_sandwich_steps(lo, hi, events, 2, 0.1):
+                pass
+        assert str(events[0].vertex) in str(err.value)
 
 
 def test_sandwich_coalescence_fraction_grows_beta_zero():

@@ -3,7 +3,13 @@ import random
 
 import pytest
 
-from exactspin.coarse import CoarseParams, DegenerateSampleError, cell_is_mixed, tail_fit
+from exactspin.coarse import (
+    CoarseParams,
+    DegenerateSampleError,
+    cell_is_mixed,
+    decoupling_check,
+    tail_fit,
+)
 
 
 @pytest.mark.parametrize("model, L, expected, n", [
@@ -37,6 +43,20 @@ def test_coarse_params_reject_bad_depth_and_beta():
                 CoarseParams(model=model, beta=beta, d=1, L=1, delta=0.5, k=k)
         CoarseParams(model=model, beta=0.5, d=1, L=1, delta=0.5, k=15)
         CoarseParams(model=model, beta=0.0, d=1, L=1, delta=0.5)
+
+
+@pytest.mark.parametrize("mode, expected", [("outside", 20), ("inside", 0)])
+def test_decoupling_check_beta_zero(mode, expected):
+    # at beta = 0 the anchor's value is a function of the uniforms of its
+    # own last update alone: re-randomizing outside the local set (which
+    # holds the anchor) never moves it, re-randomizing inside always does
+    params = CoarseParams(model="swm", beta=0.0, d=1, L=2, delta=0.5)
+    report = decoupling_check((0,), params, seed=7, trials=20, mode=mode)
+    assert report.trials == 20
+    assert type(report.identical) is int
+    assert report.identical == expected
+    # a draw whose local set reached the window edge was retried
+    assert report.window_errors >= 1
 
 
 def test_tail_fit_recovers_geometric_rate():

@@ -209,3 +209,28 @@ def test_nested_window_monotonicity_of_extremal_runs():
             assert np.all(res.top <= prev_top + 1e-15)
             assert np.all(res.bot >= prev_bot - 1e-15)
         prev_top, prev_bot = res.top, res.bot
+
+
+def test_sandwich_rejects_windows_event_stream_rejects():
+    # one window rule, t_start <= t_end <= 0: a window reaching past time
+    # 0, or running backwards, used to pass through the engine silently
+    box = build_box(2, 2)
+    lat = SwmLattice(box.vertices())
+    for t_start, t_end in ((-1.0, 3.0), (-1.0, -3.0)):
+        with pytest.raises(ValueError):
+            event_stream(box, t_start, t_end, seed=1)
+        with pytest.raises(ValueError):
+            swm_sandwich(lat, 0.5, 2, 0.15, t_start, t_end, seed=1)
+
+
+def test_swapped_lanes_raise_monotonicity_error():
+    # bottom started above top: the first update at any site inverts the
+    # sandwich order there, and the error names that site
+    box = build_box(2, 2)
+    lat = SwmLattice(box.vertices())
+    for seed in range(5):
+        first = event_stream(box, -2.0, 0.0, seed)[0]
+        with pytest.raises(MonotonicityError) as err:
+            swm_sandwich(lat, 1.0, 2, 0.1, -2.0, 0.0, seed, bc_top=-1.0, bc_bot=1.0,
+                         init_top=np.full(lat.size, -1.0), init_bot=np.full(lat.size, 1.0))
+        assert str(first.vertex) in str(err.value)
