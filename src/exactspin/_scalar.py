@@ -148,7 +148,6 @@ def swm_draw(
     if sig == 0.0:
         fa = 0.0
         span = 1.0
-        scale = 1.0 / (b - a)
     else:
         fa = norm_cdf((a - m) / sig)
         fb = norm_cdf((b - m) / sig)
@@ -158,10 +157,9 @@ def swm_draw(
             # conditional is numerically flat there
             v = snap(a + (b - a) * ur, VALUE_GRID)
             return v, c, False
-        scale = 1.0 / ((b - a) * span)
     lo = a
     hi = b
-    inv_span = 1.0 / span if sig != 0.0 else 1.0
+    inv_span = 1.0 / span
     inv_eps = 1.0 / eps
     for _ in range(60):
         # half a VALUE_GRID step: the snapped output is already fixed

@@ -29,20 +29,11 @@ MODEL_XY = "xy"
 
 
 @lru_cache(maxsize=None)
-def _swm_k_floor(beta: float, d: int, eps: float) -> int:
-    return swm_mod.calibrate_matching(beta, d, eps)
-
-
-@lru_cache(maxsize=None)
-def _xy_k_floor(beta: float, d: int, eps: float) -> int:
-    return xy_mod.calibrate_matching_xy(beta, d, eps)
-
-
 def required_digits(model: str, beta: float, d: int, eps: float) -> int:
     if model == MODEL_SWM:
-        return _swm_k_floor(beta, d, eps)
+        return swm_mod.calibrate_matching(beta, d, eps)
     if model == MODEL_XY:
-        return _xy_k_floor(beta, d, eps)
+        return xy_mod.calibrate_matching_xy(beta, d, eps)
     raise ValueError(f"unknown model {model!r}")
 
 

@@ -12,7 +12,6 @@ leaves the sampled value at its anchor bit-identical.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -24,6 +23,7 @@ import numpy as np
 from .cftp import MODEL_SWM, MODEL_XY, required_digits, xy_sandwich_steps
 from .engine import SwmLattice, swm_sandwich
 from .lattice import (
+    BoxRegion,
     Cell,
     CellWindow,
     WindowTooSmallError,
@@ -79,6 +79,14 @@ class CoarseParams:
     def fine_center(self, x: Tuple[int, ...]) -> Tuple[int, ...]:
         return tuple(self.L * xi for xi in x)
 
+    def zone(self, x: Tuple[int, ...]) -> BoxRegion:
+        """Radius-2n_L box around Lx on which the cell's dynamics run."""
+        return build_box(self.d, 2 * self.n_L, self.fine_center(x))
+
+    def core(self, x: Tuple[int, ...]) -> BoxRegion:
+        """Radius-n_L box around Lx on which the extremal runs must agree."""
+        return build_box(self.d, self.n_L, self.fine_center(x))
+
     def cell_of_vertex(self, v: Tuple[int, ...]) -> Cell:
         x = tuple((vi + self.L // 2) // self.L for vi in v)
         return (0, x)
@@ -90,9 +98,12 @@ def _centered_lattice(d: int, radius: int) -> SwmLattice:
 
 
 @lru_cache(maxsize=32)
-def _core_mask_cached(d: int, radius: int, core: int) -> np.ndarray:
-    lat = _centered_lattice(d, radius)
-    return lat.mask(lambda v: max(abs(c) for c in v) < core)
+def _zone_lattice(params: CoarseParams) -> Tuple[SwmLattice, np.ndarray]:
+    """Zone lattice and core mask of the cells at x = 0; a cell at x runs
+    on them shifted by fine_center(x)."""
+    origin = (0,) * params.d
+    lat = SwmLattice(params.zone(origin).vertices())
+    return lat, lat.mask(params.core(origin).contains)
 
 
 def cell_is_mixed(cell: Cell, params: CoarseParams, seed: int) -> int:
@@ -112,9 +123,7 @@ def cell_is_good(cell: Cell, params: CoarseParams, seed: int) -> int:
 
 def _swm_cell_bit(cell: Cell, params: CoarseParams, seed: int) -> int:
     j, x = cell
-    nL = params.n_L
-    lat = _centered_lattice(params.d, 2 * nL)
-    core = _core_mask_cached(params.d, 2 * nL, nL)
+    lat, core = _zone_lattice(params)
     slab_lo, slab_hi = params.slab(j)
     res = swm_sandwich(
         lat,
@@ -133,61 +142,36 @@ def _swm_cell_bit(cell: Cell, params: CoarseParams, seed: int) -> int:
 
 def _box_crossing(graph: XyGraph, bond: Mapping, center, radius: int) -> bool:
     """Open path joining opposite faces of the closed box |v - c| <= radius."""
-    d = len(center)
-    inside = lambda v: (
-        isinstance(v, tuple)
-        and len(v) == d
-        and all(abs(v[i] - center[i]) <= radius for i in range(d))
-    )
-    for axis in range(d):
-        starts = [
-            v
-            for v in graph.free
-            if inside(v) and v[axis] - center[axis] == -radius
-        ]
-        goal = lambda v: v[axis] - center[axis] == radius
-        seen = set(starts)
-        stack = list(starts)
-        hit = False
-        while stack and not hit:
+    inside = set(build_box(len(center), radius + 1, center).vertices())
+    inside.intersection_update(graph.free)
+    for axis, c in enumerate(center):
+        stack = [v for v in inside if v[axis] == c - radius]
+        seen = set(stack)
+        while stack:
             cur = stack.pop()
-            if goal(cur):
-                hit = True
-                break
+            if cur[axis] == c + radius:
+                return True
             for e in graph.incident[cur]:
                 if not bond.get(e, 0):
                     continue
                 other = graph.other(e, cur)
-                if other in seen or not inside(other):
-                    continue
-                seen.add(other)
-                stack.append(other)
-        if hit:
-            return True
+                if other in inside and other not in seen:
+                    seen.add(other)
+                    stack.append(other)
     return False
 
 
 def _xy_cell_bit(cell: Cell, params: CoarseParams, seed: int, good: bool) -> int:
     j, x = cell
-    nL = params.n_L
     center = params.fine_center(x)
-    zone = build_box(params.d, 2 * nL, center)
+    zone = params.zone(x)
     graph = box_graph(zone)
     lo, hi = xy_extremes(graph, params.beta)
     slab_lo, slab_hi = params.slab(j)
 
-    core_verts = [
-        v for v in graph.free if max(abs(a - c) for a, c in zip(v, center)) < nL
-    ]
-    core_edges = [
-        e
-        for e in graph.edges
-        if all(
-            not graph.is_frozen[n]
-            and max(abs(a - c) for a, c in zip(n, center)) < nL
-            for n in e
-        )
-    ]
+    core_verts = params.core(x).vertices()
+    core_set = set(core_verts)
+    core_edges = [e for e in graph.edges if e[0] in core_set and e[1] in core_set]
 
     def holds(hi, lo) -> bool:
         if not (
@@ -251,20 +235,6 @@ class ThetaField:
     def density(self) -> float:
         self.ensure_all()
         return sum(self.values.values()) / self.window.size
-
-    def nn_pair_counts(self) -> Dict[Tuple[int, int], int]:
-        """Joint frequencies over nearest-neighbour cell pairs."""
-        self.ensure_all()
-        counts = {(0, 0): 0, (0, 1): 0, (1, 0): 0, (1, 1): 0}
-        for cell in self.window.cells():
-            j, x = cell
-            for nb in [(j + 1, x)] + [
-                (j, tuple(xi + (1 if i == axis else 0) for i, xi in enumerate(x)))
-                for axis in range(len(x))
-            ]:
-                if self.window.contains(nb):
-                    counts[(self.values[cell], self.values[nb])] += 1
-        return counts
 
     def to_json(self) -> str:
         self.ensure_all()
@@ -340,13 +310,9 @@ def local_set(v: Tuple[int, ...], theta: ThetaField, params: CoarseParams) -> Lo
                 f"0-cluster of {cell_v} reaches the window edge"
             )
         shield = star_boundary(cluster, theta.window) | cluster
-    nL = params.n_L
     verts: Set[Tuple[int, ...]] = set()
-    for (j, x) in shield:
-        center = params.fine_center(x)
-        ranges = [range(c - 2 * nL + 1, c + 2 * nL) for c in center]
-        for w in itertools.product(*ranges):
-            verts.add(tuple(w))
+    for (_, x) in shield:
+        verts.update(params.zone(x).vertices())
     assert v in verts
     return LocalSet(
         anchor=v,
@@ -383,7 +349,6 @@ def decoupling_check(
     trials: int,
     mode: str = "outside",
     window: Optional[CellWindow] = None,
-    margin: int = 2,
 ) -> DecouplingReport:
     """Re-randomize events and compare the exactly-sampled value at v.
 
@@ -417,16 +382,15 @@ def decoupling_check(
             window_errors += 1
             continue
         done += 1
-        # simulation region: bounding box of the local set plus margin
-        nL = params.n_L
+        # simulation region: bounding box of the local set plus two cells
         center = params.fine_center(params.cell_of_vertex(v)[1])
         reach = max(
             max(abs(a - c) for a, c in zip(w, center)) for w in ls.vertices
         )
-        radius = reach + margin * params.L + 1
+        radius = reach + 2 * params.L + 1
         lat = _centered_lattice(params.d, radius)
         j_min = min((j for (j, _) in ls.shield), default=0)
-        T = params.L * (1 - j_min) + nL
+        T = params.L * (1 - j_min) + params.n_L
 
         def value_at(reseed):
             res = swm_sandwich(
@@ -482,11 +446,11 @@ class TailFit:
     points: int
 
 
-def tail_fit(sizes: Sequence[int], min_samples: int = 100) -> TailFit:
+def tail_fit(sizes: Sequence[int]) -> TailFit:
     """Least squares on log survival: log P[X > n] ~ intercept - rate*n."""
     sizes = list(sizes)
-    if len(sizes) < min_samples:
-        raise ValueError(f"need at least {min_samples} samples")
+    if len(sizes) < 100:
+        raise ValueError("need at least 100 samples")
     arr = np.asarray(sizes, dtype=float)
     if np.all(arr == arr[0]):
         raise DegenerateSampleError("all sizes equal")

@@ -55,20 +55,25 @@ class BoxRegion:
     def contains(self, v: Vertex) -> bool:
         return all(abs(v[i] - self.center[i]) < self.n for i in range(self.d))
 
+    def _ranges(self) -> List[range]:
+        return [range(c - self.n + 1, c + self.n) for c in self.center]
+
     def vertices(self) -> List[Vertex]:
-        ranges = [
-            range(c - self.n + 1, c + self.n) for c in self.center
-        ]
-        return [tuple(p) for p in itertools.product(*ranges)]
+        return list(itertools.product(*self._ranges()))
 
     def exterior_boundary(self) -> List[Vertex]:
-        """Sites outside the box adjacent to at least one inside site."""
-        seen: Set[Vertex] = set()
-        for v in self.vertices():
-            for w in neighbors(v):
-                if not self.contains(w) and w not in seen:
-                    seen.add(w)
-        return sorted(seen)
+        """Sites outside the box adjacent to at least one inside site.
+
+        These are the box's 2d faces pushed one step out: on face
+        (i, side) coordinate i is center_i +- n and every other
+        coordinate ranges over the box.  Faces share no site.
+        """
+        ranges = self._ranges()
+        out: List[Vertex] = []
+        for i, c in enumerate(self.center):
+            for side in (c - self.n, c + self.n):
+                out.extend(itertools.product(*ranges[:i], (side,), *ranges[i + 1:]))
+        return sorted(out)
 
 
 def build_box(d: int, n: int, center: Vertex | None = None) -> BoxRegion:
@@ -178,62 +183,3 @@ def star_boundary(cluster: Set[Cell], window: CellWindow) -> Set[Cell]:
 
 def cluster_touches_boundary(cluster: Set[Cell], window: CellWindow) -> bool:
     return any(window.on_boundary(c) for c in cluster)
-
-
-def _cell_nn_neighbors(cell: Cell) -> List[Cell]:
-    j, x = cell
-    out = [(j - 1, x), (j + 1, x)]
-    for i in range(len(x)):
-        for s in (-1, 1):
-            y = list(x)
-            y[i] += s
-            out.append((j, tuple(y)))
-    return out
-
-
-def external_complement(cluster: Set[Cell], N: int, window: CellWindow, L: int) -> Set[Cell]:
-    """Cells far from the cluster and connected to the window exterior.
-
-    A cell y qualifies when its l-infinity distance in the fine graph
-    from every cluster cell exceeds L*N (equivalently its coarse
-    distance exceeds N), and a nearest-neighbour path inside the window
-    avoiding the cluster joins y to the window's boundary layer.
-    "Connected to infinity" is rendered as window-exiting because all
-    windows here are finite.
-    """
-    if N < 1:
-        raise ValueError("N must be a positive integer")
-    for c in cluster:
-        if not window.contains(c):
-            raise WindowTooSmallError(
-                f"cluster cell {c} exceeds the declared window"
-            )
-
-    # reachability from the window boundary through the cluster complement
-    reachable: Set[Cell] = set()
-    queue: List[Cell] = []
-    for cell in window.cells():
-        if cell in cluster:
-            continue
-        if window.on_boundary(cell):
-            reachable.add(cell)
-            queue.append(cell)
-    while queue:
-        cur = queue.pop()
-        for nb in _cell_nn_neighbors(cur):
-            if nb in reachable or nb in cluster or not window.contains(nb):
-                continue
-            reachable.add(nb)
-            queue.append(nb)
-
-    def coarse_dist(a: Cell, b: Cell) -> int:
-        da = abs(a[0] - b[0])
-        for u, v in zip(a[1], b[1]):
-            da = max(da, abs(u - v))
-        return da
-
-    out: Set[Cell] = set()
-    for cell in reachable:
-        if all(coarse_dist(cell, c) > N for c in cluster):
-            out.add(cell)
-    return out

@@ -215,13 +215,6 @@ def digit_cell(x: float, k: int) -> int:
     return (p * 10**k) // q
 
 
-def digit_split(x: float, k: int) -> Tuple[float, float]:
-    """(floor_k, frac_k) with floor_k = 10^-k * floor(10^k x)."""
-    n = digit_cell(x, k)
-    floor_k = n / 10**k
-    return floor_k, x - floor_k
-
-
 # ---------------------------------------------------------------------------
 # Grand coupling
 # ---------------------------------------------------------------------------

@@ -49,26 +49,6 @@ class TruncatedNormalLaw:
         b = _scalar.norm_cdf((1.0 - self.mean) / s)
         return (_scalar.norm_cdf((x - self.mean) / s) - a) / (b - a)
 
-    def pdf(self, x: float) -> float:
-        if not -1.0 <= x <= 1.0:
-            return 0.0
-        if self.beta == 0.0:
-            return 0.5
-        s = self.sigma
-        z = (x - self.mean) / s
-        a = _scalar.norm_cdf((-1.0 - self.mean) / s)
-        b = _scalar.norm_cdf((1.0 - self.mean) / s)
-        return math.exp(-0.5 * z * z) / (math.sqrt(2.0 * math.pi) * s * (b - a))
-
-    def inverse(self, u: float) -> float:
-        if self.beta == 0.0:
-            return -1.0 + 2.0 * u
-        s = self.sigma
-        a = _scalar.norm_cdf((-1.0 - self.mean) / s)
-        b = _scalar.norm_cdf((1.0 - self.mean) / s)
-        p = min(max(a + u * (b - a), 1e-300), 1.0 - 1e-16)
-        return min(1.0, max(-1.0, self.mean + s * _scalar.norm_ppf(p)))
-
 
 @dataclass
 class SwmField:

@@ -6,10 +6,15 @@ import pytest
 from exactspin.coarse import (
     CoarseParams,
     DegenerateSampleError,
+    ThetaField,
+    _box_crossing,
     cell_is_mixed,
     decoupling_check,
+    local_set,
     tail_fit,
 )
+from exactspin.lattice import CellWindow, build_box
+from exactspin.xy import box_graph
 
 
 @pytest.mark.parametrize("model, L, expected, n", [
@@ -45,6 +50,43 @@ def test_coarse_params_reject_bad_depth_and_beta():
         CoarseParams(model=model, beta=0.0, d=1, L=1, delta=0.5)
 
 
+def _bonds(graph, open_pairs):
+    """0/1 bond map on graph.edges with exactly the given site pairs open."""
+    wanted = {frozenset(p) for p in open_pairs}
+    return {e: int(frozenset(e) in wanted) for e in graph.edges}
+
+
+def test_box_crossing_straight_row():
+    # a d=2 zone of radius 3 around the origin; the closed L-box with
+    # L = 1 is the 3x3 block |v| <= 1
+    graph = box_graph(build_box(2, 3))
+    center, L = (0, 0), 1
+    assert _box_crossing(graph, {e: 1 for e in graph.edges}, center, L)
+    assert not _box_crossing(graph, {e: 0 for e in graph.edges}, center, L)
+    row = [((-1, 0), (0, 0)), ((0, 0), (1, 0))]
+    assert _box_crossing(graph, _bonds(graph, row), center, L)
+    # the same row one site short of the far face x = 1
+    assert not _box_crossing(graph, _bonds(graph, row[:1]), center, L)
+    # open bonds leaving the L-box do not count as a crossing
+    outside = [((1, 0), (2, 0)), ((2, 0), (2, 1))]
+    assert not _box_crossing(graph, _bonds(graph, row[:1] + outside), center, L)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_local_set_of_mixed_anchor_is_its_zone(seed):
+    # at beta = 0, d = 1, L = 2, delta = 0.5 (n_L = 4) the anchor cell is
+    # mixed on these seeds, so the local set is the projection of the
+    # anchor cell's own zone: the 15 sites of the radius-8 box
+    params = CoarseParams(model="swm", beta=0.0, d=1, L=2, delta=0.5)
+    theta = ThetaField(CellWindow(j_min=-3, j_max=0, x_radius=3, d=1), params, seed)
+    ls = local_set((0,), theta, params)
+    assert theta.value((0, (0,))) == 1
+    assert ls.cluster == frozenset()
+    assert ls.shield == frozenset({(0, (0,))})
+    assert ls.vertices == frozenset(build_box(1, 8).vertices())
+    assert ls.size == 15
+
+
 @pytest.mark.parametrize("mode, expected", [("outside", 20), ("inside", 0)])
 def test_decoupling_check_beta_zero(mode, expected):
     # at beta = 0 the anchor's value is a function of the uniforms of its
@@ -76,7 +118,7 @@ def test_tail_fit_recovers_geometric_rate():
 
 def test_tail_fit_rejects_too_few_samples():
     with pytest.raises(ValueError):
-        tail_fit([0, 1, 2, 3] * 24, min_samples=100)
+        tail_fit([0, 1, 2, 3] * 24)
 
 
 def test_tail_fit_rejects_all_equal_samples():

@@ -5,10 +5,8 @@ import pytest
 from exactspin.lattice import (
     BoxRegion,
     CellWindow,
-    WindowTooSmallError,
     build_box,
     cluster_touches_boundary,
-    external_complement,
     star_boundary,
     star_zero_cluster,
 )
@@ -65,6 +63,33 @@ def test_build_box_center_offset():
     assert box.contains((5, -3))
     assert box.contains((6, -2))
     assert not box.contains((7, -3))
+
+
+def _exterior_oracle(box):
+    """Sorted sites outside the box next to an inside site, by neighbour scan."""
+    out = set()
+    for v in box.vertices():
+        for i in range(box.d):
+            for step in (-1, 1):
+                w = list(v)
+                w[i] += step
+                w = tuple(w)
+                if not box.contains(w):
+                    out.add(w)
+    return sorted(out)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 7])
+def test_exterior_boundary_matches_neighbour_scan(d, n):
+    # the order is part of the contract: boundary maps and their golden
+    # digests are built by walking this list
+    for center in ((0,) * d, tuple(range(3, 3 + d)), tuple(-5 + 2 * i for i in range(d))):
+        box = build_box(d, n, center)
+        got = box.exterior_boundary()
+        assert got == _exterior_oracle(box)
+        # 2d faces of (2n - 1)^(d-1) sites each, no overlap
+        assert len(got) == 2 * d * (2 * n - 1) ** (d - 1)
 
 
 def _window(j_min=-4, radius=2, d=2):
@@ -132,61 +157,6 @@ def test_star_zero_cluster_rejects_outside_origin():
     theta = CellField(win, {c: 1 for c in win.cells()})
     with pytest.raises(ValueError):
         star_zero_cluster(theta, (0, (9, 9)))
-
-
-def test_external_complement_empty_cluster_is_everything():
-    win = _window()
-    out = external_complement(set(), N=1, window=win, L=4)
-    assert out == set(win.cells())
-
-
-def test_external_complement_full_cluster_is_empty():
-    win = _window()
-    out = external_complement(set(win.cells()), N=1, window=win, L=4)
-    assert out == set()
-
-
-def test_external_complement_single_cell():
-    win = CellWindow(j_min=-6, j_max=0, x_radius=6, d=2)
-    origin = (0, (0, 0))
-    out = external_complement({origin}, N=1, window=win, L=4)
-    # oracle: coarse distance > 1 (fine distance > L) and reachable from
-    # the window boundary, which nothing blocks here
-    for cell in win.cells():
-        j, x = cell
-        dist = max(abs(j), abs(x[0]), abs(x[1]))
-        if dist > 1:
-            assert cell in out
-        else:
-            assert cell not in out
-
-
-def test_external_complement_antitone_in_cluster_and_N():
-    win = CellWindow(j_min=-5, j_max=0, x_radius=4, d=2)
-    small = {(0, (0, 0))}
-    large = {(0, (0, 0)), (-1, (0, 0)), (0, (1, 0))}
-    for N in (1, 2):
-        out_small = external_complement(small, N, win, L=4)
-        out_large = external_complement(large, N, win, L=4)
-        assert out_large <= out_small
-    out1 = external_complement(small, 1, win, L=4)
-    out2 = external_complement(small, 2, win, L=4)
-    assert out2 <= out1
-
-
-def test_external_complement_respects_blocking():
-    # a cluster wall separating the middle column from the boundary
-    win = CellWindow(j_min=-4, j_max=0, x_radius=2, d=1)
-    wall = {(j, (x,)) for j in (-1, -2, -3) for x in (-1, 0, 1)}
-    out = external_complement(wall, N=1, window=win, L=2)
-    # the cell (-2, (0,)) is enclosed: not reachable from the boundary
-    assert (-2, (0,)) not in out
-
-
-def test_external_complement_rejects_cluster_outside_window():
-    win = _window()
-    with pytest.raises(WindowTooSmallError):
-        external_complement({(0, (9, 9))}, N=1, window=win, L=4)
 
 
 def test_cluster_touches_boundary():

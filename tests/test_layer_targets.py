@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from exactspin import engine
+from exactspin import cftp, engine
 from exactspin.lattice import build_box
 
 _LAYERTRACE = Path(__file__).resolve().parent.parent / "perfbench" / "layertrace.py"
@@ -64,3 +64,32 @@ def test_traced_engine_attributes_are_called(monkeypatch):
     assert len(draw_args) == 2 * res.event_count
     # the kernel runs as plain Python: numpy scalars would slow every draw
     assert all(type(x) is float for args in draw_args for x in args)
+
+
+def test_pair_fields_called_once_per_swm_round(monkeypatch):
+    # perfbench divides the time in _swm_pair_fields by its call count to
+    # get ms per round; the function must stay a separate call made once
+    # per SWM sandwich_run, with swm_sandwich called once beside it
+    calls = {"_swm_pair_fields": 0, "swm_sandwich": 0}
+
+    def counting(name):
+        original = getattr(cftp, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(cftp, "_swm_pair_fields", counting("_swm_pair_fields"))
+    monkeypatch.setattr(cftp, "swm_sandwich", counting("swm_sandwich"))
+    box = build_box(2, 3)
+    for rounds, (t_start, boundary) in enumerate(
+        [(-2.0, None), (-4.0, 0.5), (0.0, None)], start=1
+    ):
+        window = cftp.auto_window(box, t_start, 0.0, "swm", 0.5, boundary=boundary)
+        cftp.sandwich_run(window, seed=rounds)
+        assert calls == {"_swm_pair_fields": rounds, "swm_sandwich": rounds}
+    res = cftp.cftp_sample(box, [(0, 0)], "swm", 0.5, seed=2, boundary=1.0)
+    assert res.ok
+    assert calls["_swm_pair_fields"] == calls["swm_sandwich"] > 3

@@ -8,7 +8,6 @@ from exactspin._scalar import swm_draw
 from exactspin.lattice import build_box
 from exactspin.randomness import (
     digit_cell,
-    digit_split,
     event_stream,
     mix64,
     monotone_inverse,
@@ -91,22 +90,18 @@ def test_b_match_probability():
 
 
 def test_digit_split_basic():
-    f, r = digit_split(0.12345, 2)
-    assert f == 0.12
-    assert abs(r - 0.00345) < 1e-15
-    assert 0 <= r < 10**-2
+    # digit_cell splits x after its k-th decimal digit: 0.12345 -> 12
+    assert digit_cell(0.12345, 2) == 12
+    assert 0.0 <= 0.12345 - digit_cell(0.12345, 2) * 10.0**-2 < 10.0**-2
 
 
 def test_digit_split_negative():
-    f, r = digit_split(-0.005, 2)
-    assert f == -0.01
-    assert abs(r - 0.005) < 1e-15
+    # floor, not truncation: -0.005 lies in the cell [-0.01, 0)
+    assert digit_cell(-0.005, 2) == -1
 
 
 def test_digit_split_k_zero():
-    f, r = digit_split(2.75, 0)
-    assert f == 2.0
-    assert r == 0.75
+    assert digit_cell(2.75, 0) == 2
 
 
 def test_digit_split_boundary_floats_exact():
@@ -120,7 +115,7 @@ def test_digit_split_boundary_floats_exact():
 
 def test_digit_split_rejects_large_k():
     with pytest.raises(ValueError):
-        digit_split(0.5, 16)
+        digit_cell(0.5, 16)
 
 
 def test_grand_inverse_cdf_uniform():
