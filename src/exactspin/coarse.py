@@ -59,6 +59,8 @@ class CoarseParams:
             raise ValueError("L must be >= 1")
         if not (0.0 < self.delta < 1.0):
             raise ValueError("delta must lie in (0, 1)")
+        if not (0.0 < self.eps < 1.0):
+            raise ValueError("eps must lie in (0, 1)")
 
     @property
     def n_L(self) -> int:

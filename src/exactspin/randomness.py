@@ -7,17 +7,21 @@ per-vertex, per-unit-time-block Poisson counts keyed by
 (seed, vertex, block); restricting a stream to a smaller window yields
 exactly the time-restriction of the larger stream.
 
-``block_events`` is the one event generator: the array engine reads its
-typed arrays directly and ``event_stream`` wraps the same events in
-``UpdateEvent`` objects.
+``block_events`` is the one event generator.  It hashes the whole
+(site x block) grid with numpy uint64 array operations and returns
+numpy arrays; the engine sorts and steps through them and
+``event_stream`` wraps the same events in ``UpdateEvent`` objects
+holding Python values.  The scalar ``mix64`` serves single keys only:
+vertex keys, edge uniforms and derived seeds.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 from typing import Callable, List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .lattice import BoxRegion, Vertex
 
@@ -42,8 +46,29 @@ def mix64(z: int) -> int:
 
 
 def _to_unit(bits: int) -> float:
-    """Map 64 bits to a float strictly inside (0, 1)."""
+    """Map 64 bits to a float in (0, 1]; only the top 53 bits all set
+    round up to 1.0."""
     return ((bits >> 11) + 0.5) * (1.0 / (1 << 53))
+
+
+def _mix(z: np.ndarray) -> np.ndarray:
+    """``mix64`` over a uint64 array, in place (wrapping mod 2^64)."""
+    z += _GOLDEN
+    z ^= z >> 30
+    z *= 0xBF58476D1CE4E5B9
+    z ^= z >> 27
+    z *= 0x94D049BB133111EB
+    z ^= z >> 31
+    return z
+
+
+def _unit(bits: np.ndarray) -> np.ndarray:
+    """``_to_unit`` over a uint64 array, which it overwrites."""
+    bits >>= 11
+    u = bits.astype(np.float64)
+    u += 0.5
+    u *= 1.0 / (1 << 53)
+    return u
 
 
 def vertex_key(master: int, vertex: Vertex) -> int:
@@ -54,16 +79,23 @@ def vertex_key(master: int, vertex: Vertex) -> int:
     return h
 
 
-def _poisson_unit(u: float) -> int:
-    """Inverse-CDF Poisson(1) draw from one uniform."""
+def _poisson_cdf() -> np.ndarray:
+    """P(N <= k) for N ~ Poisson(1), k = 0..60, summed term by term."""
     p = math.exp(-1.0)
-    cum = p
-    k = 0
-    while u > cum and k <= 60:  # the cdf saturates long before k = 60
-        k += 1
+    cdf = [p]
+    for k in range(1, 61):
         p /= k
-        cum += p
-    return k
+        cdf.append(cdf[-1] + p)
+    return np.array(cdf)
+
+
+_POISSON_CDF = _poisson_cdf()
+
+
+def _poisson_counts(u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF Poisson(1) draws, #{k : cdf[k] < u} (capped at 61;
+    the sum reaches 1.0 at k = 18, so no u in (0, 1] gets near it)."""
+    return np.searchsorted(_POISSON_CDF, u)
 
 
 @dataclass(frozen=True)
@@ -97,17 +129,18 @@ class UpdateEvent:
     randomness: UpdateRandomness
 
 
-def event_uniforms(key: int) -> Tuple[float, float, float]:
-    """(u_primary, u_refine, u_match) of the event with this key."""
-    return (
-        _to_unit(mix64(key ^ _TAG_PRIMARY)),
-        _to_unit(mix64(key ^ _TAG_REFINE)),
-        _to_unit(mix64(key ^ _TAG_MATCH)),
-    )
+_EVENT_TAGS = (_TAG_PRIMARY, _TAG_REFINE, _TAG_MATCH)
+
+
+def _event_uniforms(keys: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """(u_primary, u_refine, u_match) arrays of the events with these keys."""
+    return tuple(_unit(_mix(keys ^ tag)) for tag in _EVENT_TAGS)
 
 
 def randomness_from_key(key: int) -> UpdateRandomness:
-    return UpdateRandomness(*event_uniforms(key), key=key)
+    """The randomness ``event_stream`` gives the event with this key."""
+    tagged = np.array([key ^ tag for tag in _EVENT_TAGS], np.uint64)
+    return UpdateRandomness(*_unit(_mix(tagged)).tolist(), key=key)
 
 
 def window_blocks(t_start: float, t_end: float) -> Tuple[int, int]:
@@ -133,33 +166,55 @@ def block_events(
     last_block: int,
     t_start: float,
     t_end: float,
-) -> Tuple[array, array, array, array, array, array]:
+) -> Tuple[np.ndarray, ...]:
     """All events of the given vertex keys on (t_start, t_end], unsorted.
 
     Each (vertex, block) pair draws a Poisson(1) count and that many
     uniform slot times inside the block; the event key folds (block,
-    slot) into the vertex key.  Returns typed arrays (times, site index
+    slot) into the vertex key.  Returns numpy arrays (times, site index
     into ``vkeys``, keys, u_primary, u_refine, u_match), in site-major,
     block, slot order.
     """
-    times, sidx, keys = array("d"), array("q"), array("Q")
-    up, ur, um = array("d"), array("d"), array("d")
-    for si, vkey in enumerate(vkeys):
-        for block in range(first_block, last_block + 1):
-            bkey = mix64(vkey ^ (block * 2 + 11))
-            count = _poisson_unit(_to_unit(mix64(bkey ^ _TAG_COUNT)))
-            for slot in range(count):
-                t = -(block + _to_unit(mix64(bkey ^ (_TAG_TIME + ((slot + 1) << 8)))))
-                if t_start < t <= t_end:
-                    key = mix64(vkey ^ ((block << 8) | slot))
-                    times.append(t)
-                    sidx.append(si)
-                    keys.append(key)
-                    a, b, c = event_uniforms(key)
-                    up.append(a)
-                    ur.append(b)
-                    um.append(c)
-    return times, sidx, keys, up, ur, um
+    # Each intermediate is updated in place and deleted once spent, so
+    # the peak stays below that of sorting the six results.
+    vk = np.array(vkeys, np.uint64)
+    blocks = np.arange(first_block, last_block + 1, dtype=np.uint64)
+    nblocks = blocks.size
+    bkeys = _mix((vk[:, None] ^ (blocks * 2 + 11)).ravel())  # site-major
+    counts = _poisson_counts(_unit(_mix(bkeys ^ _TAG_COUNT)))
+    # one entry per slot: its (site, block) pair and its slot number
+    pair = np.repeat(np.arange(bkeys.size), counts)
+    first = np.cumsum(counts)
+    first -= counts
+    slot = np.arange(pair.size)
+    slot -= np.repeat(first, counts)
+    del counts, first
+    slot = slot.view(np.uint64)
+    # arrival time: -(block + unit(mix64(bkey ^ (TAG_TIME + ((slot + 1) << 8)))))
+    h = slot + 1
+    h <<= 8
+    h += _TAG_TIME
+    h ^= bkeys[pair]
+    del bkeys
+    times = _unit(_mix(h))
+    del h
+    times += blocks[pair % nblocks]
+    np.negative(times, out=times)
+    keep = (times > t_start) & (times <= t_end)
+    times = times[keep]
+    pair = pair[keep]
+    slot = slot[keep]
+    del keep
+    # event key: mix64(vkey ^ ((block << 8) | slot))
+    sidx, pair = np.divmod(pair, nblocks)
+    keys = blocks[pair]
+    del pair
+    keys <<= 8
+    keys |= slot
+    del slot
+    keys ^= vk[sidx]
+    _mix(keys)
+    return (times, sidx, keys, *_event_uniforms(keys))
 
 
 def event_stream(
@@ -180,17 +235,16 @@ def event_stream(
     vkeys = [
         vertex_key(seed if reseed is None else reseed.get(v, seed), v) for v in verts
     ]
-    times, sidx, keys, up, ur, um = block_events(
-        vkeys, *window_blocks(t_start, t_end), t_start, t_end
-    )
-    order = sorted(range(len(times)), key=times.__getitem__)
+    arrays = block_events(vkeys, *window_blocks(t_start, t_end), t_start, t_end)
+    order = np.argsort(arrays[0], kind="stable")
+    times, sidx, keys, up, ur, um = (a[order].tolist() for a in arrays)
     return [
         UpdateEvent(
-            vertex=verts[sidx[i]],
-            time=times[i],
-            randomness=UpdateRandomness(up[i], ur[i], um[i], key=keys[i]),
+            vertex=verts[si],
+            time=t,
+            randomness=UpdateRandomness(a, b, c, key=key),
         )
-        for i in order
+        for t, si, key, a, b, c in zip(times, sidx, keys, up, ur, um)
     ]
 
 

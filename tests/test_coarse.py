@@ -50,6 +50,16 @@ def test_coarse_params_reject_bad_depth_and_beta():
         CoarseParams(model=model, beta=0.0, d=1, L=1, delta=0.5)
 
 
+def test_coarse_params_reject_eps_outside_unit_interval():
+    # the same rule as WindowSpec: eps = 0 would match every draw and
+    # eps >= 1 none, whatever the digit depth
+    for model in ("swm", "xy"):
+        for eps in (0.0, 1.0, 1.5, -0.1):
+            with pytest.raises(ValueError, match="eps"):
+                CoarseParams(model=model, beta=0.5, d=1, L=1, delta=0.5, eps=eps, k=2)
+        CoarseParams(model=model, beta=0.5, d=1, L=1, delta=0.5, eps=0.5, k=2)
+
+
 def _bonds(graph, open_pairs):
     """0/1 bond map on graph.edges with exactly the given site pairs open."""
     wanted = {frozenset(p) for p in open_pairs}

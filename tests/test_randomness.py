@@ -1,9 +1,12 @@
 import math
 import random
 import statistics
+import warnings
 
+import numpy as np
 import pytest
 
+from exactspin import randomness as R
 from exactspin._scalar import swm_draw
 from exactspin.lattice import build_box
 from exactspin.randomness import (
@@ -12,6 +15,8 @@ from exactspin.randomness import (
     mix64,
     monotone_inverse,
     randomness_from_key,
+    vertex_key,
+    window_blocks,
 )
 
 
@@ -70,6 +75,130 @@ def test_event_stream_reseed_changes_only_target_vertex():
     assert [e for e in base if e.vertex == (0, 0)] != [
         e for e in res if e.vertex == (0, 0)
     ]
+
+
+# Scalar oracle for the array generator: the per-event Python loop it
+# replaced, with Python ints and floats throughout.
+
+
+def _ref_unit(bits):
+    return ((bits >> 11) + 0.5) * (1.0 / (1 << 53))
+
+
+def _ref_poisson(u):
+    """Inverse-CDF Poisson(1) draw from one uniform, term by term."""
+    p = math.exp(-1.0)
+    cum = p
+    k = 0
+    while u > cum and k <= 60:
+        k += 1
+        p /= k
+        cum += p
+    return k
+
+
+def _ref_block_events(vkeys, first_block, last_block, t_start, t_end):
+    out = []
+    for si, vkey in enumerate(vkeys):
+        for block in range(first_block, last_block + 1):
+            bkey = mix64(vkey ^ (block * 2 + 11))
+            count = _ref_poisson(_ref_unit(mix64(bkey ^ 0x1)))
+            for slot in range(count):
+                t = -(block + _ref_unit(mix64(bkey ^ (0x2 + ((slot + 1) << 8)))))
+                if t_start < t <= t_end:
+                    key = mix64(vkey ^ ((block << 8) | slot))
+                    uniforms = [_ref_unit(mix64(key ^ tag)) for tag in (0x3, 0x4, 0x5)]
+                    out.append((t, si, key, *uniforms))
+    return out
+
+
+def _exact(rows):
+    """Rows of floats and ints, floats as float.hex, so == is bitwise."""
+    return [tuple(x.hex() if isinstance(x, float) else x for x in r) for r in rows]
+
+
+def test_array_mix_matches_mix64():
+    rng = random.Random(6)
+    xs = [0, 1 << 63, (1 << 64) - 1] + [rng.getrandbits(64) for _ in range(1000)]
+    mixed = R._mix(np.array(xs, np.uint64))
+    assert mixed.dtype == np.uint64
+    assert mixed.tolist() == [mix64(x) for x in xs]
+    units = R._unit(np.array(xs, np.uint64)).tolist()
+    assert [u.hex() for u in units] == [_ref_unit(x).hex() for x in xs]
+    assert units[2] == 1.0  # the top 53 bits all set round up
+
+
+@pytest.mark.parametrize(
+    "vkeys, t_start, t_end",
+    [
+        ([vertex_key(3, (i, j)) for i in range(3) for j in range(3)], -7.25, -2.5),
+        ([vertex_key(0, (0, 0)), vertex_key(0, (1, 0))], -16.0, -0.3),
+        ([vertex_key(1, (2,))], -1.5, -1.5),
+        ([vertex_key(1, (2,)), vertex_key(2, (2,))], -3.0, -3.0),
+        ([vertex_key(4, (0,))], 0.0, 0.0),
+        ([vertex_key(5, (i,)) for i in range(4)], -(2.0**20) - 6.75, -(2.0**20) + 0.5),
+        ([(1 << 64) - 1, 1 << 63, (1 << 63) + 12345], -9.0, 0.0),
+    ],
+    ids=["fractional", "fractional-end", "empty-fraction", "empty-int", "empty-zero",
+         "block-2^20", "keys-2^63"],
+)
+def test_block_events_match_scalar_oracle(vkeys, t_start, t_end):
+    blocks = window_blocks(t_start, t_end)
+    arrays = R.block_events(vkeys, *blocks, t_start, t_end)
+    assert [a.dtype for a in arrays] == [
+        np.float64, np.int64, np.uint64, np.float64, np.float64, np.float64
+    ]
+    got = list(zip(*(a.tolist() for a in arrays)))
+    ref = _ref_block_events(vkeys, *blocks, t_start, t_end)
+    assert _exact(got) == _exact(ref)
+    if t_start < t_end:
+        assert ref
+        assert any(row[2] >= 1 << 63 for row in ref)
+
+
+def test_event_stream_with_reseed_matches_scalar_oracle():
+    box = build_box(2, 2)
+    verts = box.vertices()
+    reseed = {(0, 0): 777, (1, -1): (1 << 64) - 5}
+    vkeys = [vertex_key(reseed.get(v, 9), v) for v in verts]
+    ref = sorted(_ref_block_events(vkeys, *window_blocks(-6.5, -0.25), -6.5, -0.25),
+                 key=lambda r: r[0])
+    evs = event_stream(box, -6.5, -0.25, seed=9, reseed=reseed)
+    got = [(e.time, verts.index(e.vertex), e.randomness.key, e.randomness.u_primary,
+            e.randomness.u_refine, e.randomness.u_match) for e in evs]
+    assert _exact(got) == _exact(ref)
+
+
+def test_poisson_counts_at_table_boundaries():
+    us = [math.nextafter(0.0, 1.0), 1.0, math.nextafter(1.0, 0.0)]
+    for c in R._POISSON_CDF.tolist():
+        us += [math.nextafter(c, 0.0), c, math.nextafter(c, 2.0)]
+    counts = R._poisson_counts(np.array(us)).tolist()
+    assert counts == [_ref_poisson(u) for u in us]
+    # the summed cdf reaches 1.0 at k = 18, so u = 1.0 draws 18; only a
+    # u above every entry would reach the cap of 61
+    assert counts[1] == 18
+    assert R._poisson_counts(np.array([math.nextafter(1.0, 2.0)])).tolist() == [61]
+    assert _ref_poisson(math.nextafter(1.0, 2.0)) == 61
+
+
+def test_event_stream_yields_python_values():
+    # numpy scalars must not reach the object level: a numpy uint64 key
+    # makes mix64 raise an overflow warning in edge_uniform
+    box = build_box(2, 3)
+    evs = event_stream(box, -5.5, 0.0, seed=12, reseed={(0, 0): (1 << 64) - 1})
+    big = [e for e in evs if e.randomness.key >= 1 << 63]
+    assert big
+    for e in evs:
+        r = e.randomness
+        assert type(e.time) is float
+        assert type(r.key) is int
+        assert all(type(u) is float for u in (r.u_primary, r.u_refine, r.u_match))
+        assert all(type(c) is int for c in e.vertex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for e in big:
+            assert 0.0 < e.randomness.edge_uniform(3) <= 1.0
 
 
 def test_randomness_channels_in_unit_interval():
