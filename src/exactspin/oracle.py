@@ -1,11 +1,17 @@
-"""Independent exact and brute-force references.
+"""Independent exact and brute-force references for the sampler tests.
 
-Everything here is deliberately implementation-independent of the
-dynamics modules: tensor quadrature of the raw densities, exhaustive
-enumeration of edge configurations, rejection sampling against the
-uniform proposal, and the massive Gaussian mean computed through two
-unrelated linear-algebra routes.  Agreement with the samplers is then
-evidence, not tautology.
+Nothing here shares code with the dynamics modules, so agreement with
+a sampler is evidence, not tautology.  Each oracle and the sampler
+test that compares against it (the first two in ``tests/test_cftp.py``,
+the rest in ``tests/test_xy.py``):
+
+- ``quadrature_cdf``: ``test_cftp_single_vertex_matches_quadrature``;
+- ``rejection_sample``: ``test_cftp_3x3_mean_matches_rejection_oracle``;
+- ``enumerate_xy``: ``test_edge_update_two_vertex_marginal`` and
+  ``test_edge_update_star_joint_matches_enumeration``;
+- ``xy_angle_density_oracle``: ``test_angle_law_matches_enumeration_oracle``
+  and ``test_angle_update_distribution_matches_oracle``;
+- ``xy_two_vertex_expectation``: ``test_two_vertex_spin_law_matches_xy_model``.
 """
 
 from __future__ import annotations
@@ -13,12 +19,15 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
 from .lattice import BoxRegion, Vertex, neighbors
 from .xy import XyGraph
+
+_REJECTION_BATCH = 200000  # uniform proposals per accept/reject round
+_XY_PAIR_ORDER = 96  # Gauss-Legendre nodes per angle, two-vertex XY law
 
 
 @dataclass
@@ -76,44 +85,6 @@ def instance_from_box(region: BoxRegion, beta: float, zeta) -> TinyInstance:
     return TinyInstance(verts, edges, bterms, beta)
 
 
-class QuadratureError(RuntimeError):
-    """Requested tolerance not reached at the maximum grid refinement."""
-
-
-def _tensor_gl(instance: TinyInstance, f, order: int) -> float:
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    n = instance.size
-    grids = np.meshgrid(*([nodes] * n), indexing="ij", sparse=True)
-    wgrids = np.meshgrid(*([weights] * n), indexing="ij", sparse=True)
-    W = wgrids[0]
-    for wg in wgrids[1:]:
-        W = W * wg
-    dens = np.exp(-instance.beta * instance.hamiltonian(grids))
-    return float(np.sum(W * f(grids) * dens)), float(np.sum(W * dens))
-
-
-def quadrature_expectation(
-    instance: TinyInstance,
-    observable: Callable[[Sequence[np.ndarray]], np.ndarray],
-    rtol: float = 1e-8,
-) -> float:
-    """Tensor Gauss-Legendre expectation with order escalation 16/32/64."""
-    if instance.size > 3:
-        raise ValueError("tensor quadrature limited to 3 interior vertices")
-    prev = None
-    for order in (16, 32, 64):
-        num, den = _tensor_gl(instance, observable, order)
-        val = num / den
-        if prev is not None and abs(val - prev) <= rtol * max(1.0, abs(val)):
-            return val
-        prev = val
-    num, den = _tensor_gl(instance, observable, 96)
-    val = num / den
-    if abs(val - prev) <= 10 * rtol * max(1.0, abs(val)):
-        return val
-    raise QuadratureError("quadrature failed to converge at order 96")
-
-
 def quadrature_cdf(instance: TinyInstance, v: Vertex, xs: np.ndarray) -> np.ndarray:
     """Marginal CDF of the spin at v on a 1-vertex instance (grid oracle)."""
     if instance.size != 1:
@@ -126,19 +97,6 @@ def quadrature_cdf(instance: TinyInstance, v: Vertex, xs: np.ndarray) -> np.ndar
     return np.interp(xs, grid, cum)
 
 
-def log_partition(instance: TinyInstance, rtol: float = 1e-10) -> float:
-    """log Z by tensor Gauss-Legendre with order escalation."""
-    if instance.size > 3:
-        raise ValueError("tensor quadrature limited to 3 interior vertices")
-    prev = None
-    for order in (16, 32, 64, 96):
-        _, den = _tensor_gl(instance, lambda g: 1.0, order)
-        if prev is not None and abs(den - prev) <= rtol * abs(den):
-            return math.log(den)
-        prev = den
-    raise QuadratureError("partition quadrature failed to converge")
-
-
 # ---------------------------------------------------------------------------
 # Rejection sampling
 # ---------------------------------------------------------------------------
@@ -148,9 +106,7 @@ class ColdInstanceError(RuntimeError):
     """Acceptance rate below 1e-6: instance too cold or too large."""
 
 
-def rejection_sample(
-    instance: TinyInstance, count: int, seed: int, batch: int = 200000
-) -> np.ndarray:
+def rejection_sample(instance: TinyInstance, count: int, seed: int) -> np.ndarray:
     """Exact i.i.d. samples by accept/reject against the uniform proposal.
 
     The density ratio exp(-beta*H) is bounded by 1 since H >= 0, so the
@@ -164,142 +120,19 @@ def rejection_sample(
     got = 0
     proposed = 0
     while got < count:
-        props = rng.uniform(-1.0, 1.0, size=(batch, instance.size))
+        props = rng.uniform(-1.0, 1.0, size=(_REJECTION_BATCH, instance.size))
         H = instance.hamiltonian(props.T)
-        accept = rng.random(batch) < np.exp(-instance.beta * H)
+        accept = rng.random(_REJECTION_BATCH) < np.exp(-instance.beta * H)
         acc = props[accept]
         take = min(count - got, acc.shape[0])
         out[got : got + take] = acc[:take]
         got += take
-        proposed += batch
+        proposed += _REJECTION_BATCH
         if proposed > 2e6 and got / proposed < 1e-6:
             raise ColdInstanceError(
                 f"acceptance rate {got/proposed:.2e} below 1e-6"
             )
     return out
-
-
-# ---------------------------------------------------------------------------
-# Massive Gaussian mean, two ways
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class MgffResult:
-    solve_value: float
-    walk_value: float
-    s: float
-
-
-def _mgff_structure(region: BoxRegion):
-    verts = region.vertices()
-    index = {v: i for i, v in enumerate(verts)}
-    nbrs = []
-    bcounts = []
-    for v in verts:
-        row = []
-        b = 0
-        for w in neighbors(v):
-            if w in index:
-                row.append(index[w])
-            else:
-                b += 1
-        nbrs.append(row)
-        bcounts.append(b)
-    return verts, index, nbrs, np.array(bcounts, dtype=float)
-
-
-def mgff_mean(region: BoxRegion, beta: float, m: float, u: Vertex) -> MgffResult:
-    """Mean at u of the massive Gaussian field with boundary +1, two ways.
-
-    (a) dense solve of the stationarity system
-    (b) the killed-random-walk identity E[(1 + m/(2 d beta))^{-T}]
-        evaluated by first-step fixed-point iteration to 1e-13
-    """
-    if m <= 0 or beta <= 0:
-        raise ValueError("need m > 0 and beta > 0")
-    verts, index, nbrs, bcount = _mgff_structure(region)
-    if u not in index:
-        raise ValueError("u must be interior")
-    D = 2 * region.d
-    n = len(verts)
-
-    A = np.zeros((n, n))
-    rhs = beta * bcount
-    for i in range(n):
-        A[i, i] = beta * D + m
-        for j in nbrs[i]:
-            A[i, j] -= beta
-    solve = float(np.linalg.solve(A, rhs)[index[u]])
-
-    s = (2 * region.d * beta) / (2 * region.d * beta + m)
-    h = np.zeros(n)
-    for _ in range(1000000):
-        hn = np.empty(n)
-        for i in range(n):
-            acc = bcount[i]
-            for j in nbrs[i]:
-                acc += h[j]
-            hn[i] = s * acc / D
-        delta = np.max(np.abs(hn - h))
-        h = hn
-        if delta < 1e-13:
-            break
-    else:  # pragma: no cover
-        raise RuntimeError("walk iteration failed to converge")
-    walk = float(h[index[u]])
-    return MgffResult(solve_value=solve, walk_value=walk, s=s)
-
-
-def mgff_walk_exact_1d(n: int, i: int, s: float) -> float:
-    """Closed form of E[s^T] for the walk on a 1d path of n interior sites.
-
-    Site i in 1..n, absorbing boundaries at 0 and n+1, killing factor s
-    per step: sinh interpolation with cosh(theta) = 1/s.
-    """
-    if not (1 <= i <= n) or not (0 < s < 1):
-        raise ValueError("need 1 <= i <= n and s in (0,1)")
-    theta = math.acosh(1.0 / s)
-    return (math.sinh(theta * i) + math.sinh(theta * (n + 1 - i))) / math.sinh(
-        theta * (n + 1)
-    )
-
-
-def mgff_walk_mc(
-    region: BoxRegion, beta: float, m: float, u: Vertex, replicas: int, seed: int
-) -> Tuple[float, float]:
-    """Monte Carlo version of the killed-walk identity (mean, stderr)."""
-    verts, index, nbrs_idx, bcount = _mgff_structure(region)
-    D = 2 * region.d
-    s = (2 * region.d * beta) / (2 * region.d * beta + m)
-    rng = np.random.default_rng(seed)
-    vals = np.empty(replicas)
-    nbr_full = []
-    for i, v in enumerate(verts):
-        nbr_full.append([index.get(w, -1) for w in neighbors(v)])
-    for r in range(replicas):
-        pos = index[u]
-        fac = 1.0
-        while pos >= 0:
-            fac *= s
-            pos = nbr_full[pos][rng.integers(0, D)]
-        vals[r] = fac
-    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(replicas))
-
-
-def calibrate_mass(beta: float, d: int) -> float:
-    """Mass for which the Gaussian mean dominates the square-well mean.
-
-    One-site comparison: the conditioning event has probability at most
-    P(|N(0, 1/(8 d beta))| <= 1); the Radon-Nikodym bound then allows
-    any m with E[e^{-m alpha^2}] >= that probability, met by
-    m = -log P, capped at 2 d beta.
-    """
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    sigma = 1.0 / math.sqrt(8.0 * d * beta)
-    p_in = math.erf(1.0 / (sigma * math.sqrt(2.0)))
-    return min(-math.log(p_in), 2.0 * d * beta)
 
 
 # ---------------------------------------------------------------------------
@@ -316,9 +149,6 @@ class XyExactLaw:
     omega_probs: Dict[Tuple[int, ...], float]
     eta_probs: Dict[Tuple[int, ...], float]
 
-    def joint(self, om: Tuple[int, ...], et: Tuple[int, ...]) -> float:
-        return self.omega_probs[om] * self.eta_probs[et]
-
     def omega_marginal(self, edge) -> float:
         i = self.edges.index(edge)
         return sum(p for cfg, p in self.omega_probs.items() if cfg[i])
@@ -326,10 +156,6 @@ class XyExactLaw:
     def eta_marginal(self, edge) -> float:
         i = self.edges.index(edge)
         return sum(p for cfg, p in self.eta_probs.items() if cfg[i])
-
-    def normalization(self) -> float:
-        return sum(self.omega_probs.values()) * sum(self.eta_probs.values())
-
 
 def _component_count(graph: XyGraph, open_edges: Sequence[int], edges: List[Tuple]) -> int:
     parent = {n: n for n in graph.nodes}
@@ -429,9 +255,9 @@ def xy_angle_density_oracle(
     return out
 
 
-def xy_two_vertex_expectation(beta: float, f, order: int = 96) -> complex:
+def xy_two_vertex_expectation(beta: float, f) -> complex:
     """E[f(sigma_0, sigma_1)] for the two-vertex XY model by quadrature."""
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes, weights = np.polynomial.legendre.leggauss(_XY_PAIR_ORDER)
     th = math.pi * (nodes + 1.0)  # map to (0, 2pi)
     w = weights * math.pi
     t0 = th[:, None]

@@ -137,12 +137,6 @@ def _event_uniforms(keys: np.ndarray) -> Tuple[np.ndarray, ...]:
     return tuple(_unit(_mix(keys ^ tag)) for tag in _EVENT_TAGS)
 
 
-def randomness_from_key(key: int) -> UpdateRandomness:
-    """The randomness ``event_stream`` gives the event with this key."""
-    tagged = np.array([key ^ tag for tag in _EVENT_TAGS], np.uint64)
-    return UpdateRandomness(*_unit(_mix(tagged)).tolist(), key=key)
-
-
 def window_blocks(t_start: float, t_end: float) -> Tuple[int, int]:
     """(first, last) unit time blocks meeting the window (t_start, t_end].
 

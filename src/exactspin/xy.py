@@ -228,16 +228,6 @@ class AngleLawHandle:
             out += np.logaddexp(y, -y)
         return out
 
-    def log_density(self, x: float) -> float:
-        out = 0.0
-        for s in self.cos_sums:
-            y = self.beta * s * math.cos(x)
-            out += abs(y) + math.log1p(math.exp(-2.0 * abs(y)))
-        for s in self.sin_sums:
-            y = self.beta * s * math.sin(x)
-            out += abs(y) + math.log1p(math.exp(-2.0 * abs(y)))
-        return out
-
     def cdf_grid(self) -> np.ndarray:
         if self._cdf_grid is None:
             logf = self.log_density_grid()
@@ -312,7 +302,7 @@ def xy_angle_update(
         c += 1
         a, b = _angle_cell_bounds(c, k)
 
-    if eps == 0.0 or iota.b_match(eps) == 0:
+    if iota.b_match(eps) == 0:
         v = snap(a + (b - a) * iota.u_refine, VALUE_GRID)
         return min(HALF_PI, max(0.0, v))
 
@@ -369,12 +359,10 @@ def _conditional_open_prob(
     for mask in range(1 << m):
         w = 1.0
         linked: Set[int] = set(u_linked_blocks)
-        u_used = bool(u_linked_blocks)
         for i in range(m):
             if mask >> i & 1:
                 w *= p_list[i]
                 linked.add(target_blocks[i])
-                u_used = True
             else:
                 w *= 1.0 - p_list[i]
         # components among {u} + blocks: blocks merge into u's component

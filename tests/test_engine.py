@@ -11,7 +11,7 @@ from exactspin.engine import (
     swm_sandwich,
 )
 from exactspin.lattice import build_box
-from exactspin.randomness import event_stream, randomness_from_key
+from exactspin.randomness import event_stream
 from exactspin.swm import SwmField, constant_field, swm_update
 
 

@@ -1,84 +1,16 @@
 import math
 
 import numpy as np
-import pytest
 
 from exactspin.lattice import build_box
 from exactspin.oracle import (
-    ColdInstanceError,
-    MgffResult,
-    TinyInstance,
-    calibrate_mass,
     enumerate_xy,
     instance_from_box,
-    log_partition,
-    mgff_mean,
-    mgff_walk_exact_1d,
-    mgff_walk_mc,
     quadrature_cdf,
-    quadrature_expectation,
     rejection_sample,
     xy_two_vertex_expectation,
 )
 from exactspin.xy import HALF_PI, XyGraph
-
-
-def _phi(z):
-    return math.exp(-0.5 * z * z) / math.sqrt(2 * math.pi)
-
-
-def _Phi(z):
-    return 0.5 * (1 + math.erf(z / math.sqrt(2)))
-
-
-def test_quadrature_single_vertex_symmetry():
-    inst = instance_from_box(build_box(2, 1), beta=1.3, zeta=0.0)
-    val = quadrature_expectation(inst, lambda g: g[0])
-    assert abs(val) < 1e-12
-
-
-def test_quadrature_single_vertex_plus_boundary():
-    # boundary +1, beta 1, d 2: truncated normal at mean 1, var 1/8
-    inst = instance_from_box(build_box(2, 1), beta=1.0, zeta=1.0)
-    val = quadrature_expectation(inst, lambda g: g[0])
-    s = math.sqrt(1.0 / 8.0)
-    a, b = (-1.0 - 1.0) / s, (1.0 - 1.0) / s
-    closed = 1.0 + s * (_phi(a) - _phi(b)) / (_Phi(b) - _Phi(a))
-    assert abs(val - closed) < 1e-8
-
-
-def test_quadrature_beta_zero_second_moment():
-    inst = instance_from_box(build_box(2, 1), beta=0.0, zeta=0.0)
-    val = quadrature_expectation(inst, lambda g: g[0] ** 2)
-    assert abs(val - 1.0 / 3.0) < 1e-10
-
-
-def test_quadrature_three_site_path_consistency():
-    # E[alpha_center] on a 1d path with +1 boundary is positive and
-    # matches a fine Riemann oracle
-    box = build_box(1, 2)  # sites -1, 0, 1
-    inst = instance_from_box(box, beta=0.8, zeta=1.0)
-    val = quadrature_expectation(inst, lambda g: g[1])
-    grid = np.linspace(-1, 1, 201)
-    wt = np.ones_like(grid)
-    wt[0] = wt[-1] = 0.5
-    a, b, c = np.meshgrid(grid, grid, grid, indexing="ij", sparse=True)
-    wa, wb, wc = np.meshgrid(wt, wt, wt, indexing="ij", sparse=True)
-    W = wa * wb * wc
-    H = (a - b) ** 2 + (b - c) ** 2 + (a - 1.0) ** 2 + (c - 1.0) ** 2
-    dens = W * np.exp(-0.8 * H)
-    ref = float((b * dens).sum() / dens.sum())
-    assert abs(val - ref) < 1e-5
-
-
-def test_log_partition_single_vertex():
-    inst = instance_from_box(build_box(2, 1), beta=0.7, zeta=0.0)
-    # Z = int_{-1}^{1} exp(-0.7*4*x^2) dx, via erf
-    c = 0.7 * 4
-    z = math.sqrt(math.pi / c) * math.erf(math.sqrt(c))
-    assert abs(log_partition(inst) - math.log(z)) < 1e-9
-    inst0 = instance_from_box(build_box(2, 1), beta=0.0, zeta=0.0)
-    assert abs(log_partition(inst0) - math.log(2.0)) < 1e-12
 
 
 def test_rejection_beta_zero_uniform():
@@ -97,45 +29,6 @@ def test_rejection_matches_quadrature_cdf():
     i = np.arange(1, n + 1)
     ks = max(np.max(np.abs(i / n - F)), np.max(np.abs((i - 1) / n - F)))
     assert ks < 0.01
-
-
-def test_mgff_single_interior_vertex():
-    region = build_box(2, 1)
-    beta, m = 0.8, 0.3
-    res = mgff_mean(region, beta, m, (0, 0))
-    expected = 1.0 / (1.0 + m / (2 * 2 * beta))
-    assert abs(res.solve_value - expected) < 1e-12
-    assert abs(res.walk_value - expected) < 1e-11
-
-
-def test_mgff_1d_path_closed_form():
-    region = build_box(1, 2)  # 3 interior sites
-    beta, m = 1.0, 0.5
-    res = mgff_mean(region, beta, m, (0,))
-    exact = mgff_walk_exact_1d(3, 2, res.s)
-    assert abs(res.solve_value - exact) < 1e-10
-    assert abs(res.walk_value - exact) < 1e-10
-
-
-def test_mgff_two_routes_agree_up_to_5x5():
-    for n, beta, m in [(2, 0.5, 0.2), (3, 1.0, 0.7), (3, 2.0, 0.05)]:
-        region = build_box(2, n)
-        for u in [(0, 0), (1, 0), (n - 1, n - 1)]:
-            res = mgff_mean(region, beta, m, u)
-            assert abs(res.solve_value - res.walk_value) < 1e-8
-
-
-def test_mgff_mc_within_3_sigma():
-    region = build_box(2, 2)
-    res = mgff_mean(region, 0.7, 0.4, (0, 0))
-    mc, se = mgff_walk_mc(region, 0.7, 0.4, (0, 0), replicas=20000, seed=11)
-    assert abs(mc - res.solve_value) < 3 * se
-
-
-def test_calibrate_mass_bounds():
-    for beta, d in [(0.5, 2), (1.0, 2), (2.0, 3)]:
-        m = calibrate_mass(beta, d)
-        assert 0 < m <= 2 * d * beta
 
 
 def _single_edge_graph():
@@ -170,13 +63,8 @@ def test_enumerate_normalization_and_factorization():
     )
     alpha = {(0,): 0.3, (1,): 1.0, (2,): 0.6}
     law = enumerate_xy(g, alpha, beta=0.9)
-    assert abs(law.normalization() - 1.0) < 1e-12
-    # joint factorizes exactly: check a few configurations
-    for om in [(0, 0, 0), (1, 0, 1), (1, 1, 1)]:
-        for et in [(0, 0, 0), (0, 1, 0)]:
-            assert abs(
-                law.joint(om, et) - law.omega_probs[om] * law.eta_probs[et]
-            ) < 1e-15
+    assert abs(sum(law.omega_probs.values()) - 1.0) < 1e-12
+    assert abs(sum(law.eta_probs.values()) - 1.0) < 1e-12
 
 
 def test_two_vertex_expectation_limits():

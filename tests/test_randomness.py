@@ -14,10 +14,11 @@ from exactspin.randomness import (
     event_stream,
     mix64,
     monotone_inverse,
-    randomness_from_key,
     vertex_key,
     window_blocks,
 )
+
+from keyed import keyed_randomness, ref_unit
 
 
 def test_event_stream_empty_window():
@@ -81,10 +82,6 @@ def test_event_stream_reseed_changes_only_target_vertex():
 # replaced, with Python ints and floats throughout.
 
 
-def _ref_unit(bits):
-    return ((bits >> 11) + 0.5) * (1.0 / (1 << 53))
-
-
 def _ref_poisson(u):
     """Inverse-CDF Poisson(1) draw from one uniform, term by term."""
     p = math.exp(-1.0)
@@ -102,13 +99,13 @@ def _ref_block_events(vkeys, first_block, last_block, t_start, t_end):
     for si, vkey in enumerate(vkeys):
         for block in range(first_block, last_block + 1):
             bkey = mix64(vkey ^ (block * 2 + 11))
-            count = _ref_poisson(_ref_unit(mix64(bkey ^ 0x1)))
+            count = _ref_poisson(ref_unit(mix64(bkey ^ 0x1)))
             for slot in range(count):
-                t = -(block + _ref_unit(mix64(bkey ^ (0x2 + ((slot + 1) << 8)))))
+                t = -(block + ref_unit(mix64(bkey ^ (0x2 + ((slot + 1) << 8)))))
                 if t_start < t <= t_end:
                     key = mix64(vkey ^ ((block << 8) | slot))
-                    uniforms = [_ref_unit(mix64(key ^ tag)) for tag in (0x3, 0x4, 0x5)]
-                    out.append((t, si, key, *uniforms))
+                    r = keyed_randomness(key)
+                    out.append((t, si, key, r.u_primary, r.u_refine, r.u_match))
     return out
 
 
@@ -124,7 +121,7 @@ def test_array_mix_matches_mix64():
     assert mixed.dtype == np.uint64
     assert mixed.tolist() == [mix64(x) for x in xs]
     units = R._unit(np.array(xs, np.uint64)).tolist()
-    assert [u.hex() for u in units] == [_ref_unit(x).hex() for x in xs]
+    assert [u.hex() for u in units] == [ref_unit(x).hex() for x in xs]
     assert units[2] == 1.0  # the top 53 bits all set round up
 
 
@@ -201,9 +198,19 @@ def test_event_stream_yields_python_values():
             assert 0.0 < e.randomness.edge_uniform(3) <= 1.0
 
 
+def test_keyed_randomness_matches_event_stream():
+    # the test-side scalar formula gives every event its stream randomness
+    evs = event_stream(build_box(2, 3), -6.0, 0.0, seed=21)
+    assert any(e.randomness.key >= 1 << 63 for e in evs)
+    for e in evs:
+        assert keyed_randomness(e.randomness.key) == e.randomness
+
+
 def test_randomness_channels_in_unit_interval():
-    for key in range(1000):
-        r = randomness_from_key(mix64(key))
+    evs = event_stream(build_box(2, 4), -24.0, 0.0, seed=8)
+    assert len(evs) > 1000
+    for e in evs:
+        r = e.randomness
         for u in (r.u_primary, r.u_refine, r.u_match):
             assert 0.0 < u < 1.0
 
@@ -212,7 +219,7 @@ def test_b_match_probability():
     eps = 0.3
     n = 200000
     hits = sum(
-        randomness_from_key(mix64(i)).b_match(eps) for i in range(n)
+        keyed_randomness(mix64(i)).b_match(eps) for i in range(n)
     )
     stderr = math.sqrt(eps * (1 - eps) / n)
     assert abs(hits / n - eps) < 3 * stderr
@@ -298,7 +305,7 @@ def _draw(mean, sig, eps, iota):
 def test_matched_refine_uniform_cell_is_law_independent():
     # the flat law (sig = 0) ignores the neighbour mean on both branches
     for key in range(200):
-        iota = randomness_from_key(mix64(key))
+        iota = keyed_randomness(mix64(key))
         assert _draw(-0.7, 0.0, 0.4, iota) == _draw(0.6, 0.0, 0.4, iota)
 
 
@@ -308,7 +315,7 @@ def test_matched_refine_matching_branch_ignores_law():
     eps = 0.5
     shared = 0
     for key in range(200):
-        iota = randomness_from_key(mix64(key))
+        iota = keyed_randomness(mix64(key))
         if iota.b_match(eps) == 1:
             continue
         by_cell = {}
@@ -326,7 +333,7 @@ def test_matched_refine_matching_frequency():
     n = 100000
     hits = 0
     for key in range(n):
-        hits += _draw(0.2, 0.5, eps, randomness_from_key(mix64(key)))[2]
+        hits += _draw(0.2, 0.5, eps, keyed_randomness(mix64(key)))[2]
     p = hits / n
     stderr = math.sqrt(eps * (1 - eps) / n)
     assert abs(p - (1 - eps)) < 3 * stderr
@@ -337,7 +344,7 @@ def test_matched_refine_preserves_domination():
     # same randomness the draw is ordered on both branches
     eps = 0.5
     for key in range(500):
-        iota = randomness_from_key(mix64(key * 7 + 1))
+        iota = keyed_randomness(mix64(key * 7 + 1))
         v_lo, _, _ = _draw(-0.3, 0.4, eps, iota)
         v_hi, _, _ = _draw(0.25, 0.4, eps, iota)
         assert v_lo <= v_hi

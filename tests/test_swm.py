@@ -8,7 +8,7 @@ import pytest
 from exactspin import _scalar
 from exactspin._scalar import norm_cdf, norm_ppf
 from exactspin.lattice import build_box
-from exactspin.randomness import mix64, randomness_from_key
+from exactspin.randomness import mix64
 from exactspin.swm import (
     SwmField,
     TruncatedNormalLaw,
@@ -18,6 +18,8 @@ from exactspin.swm import (
     swm_update,
     swm_update_parts,
 )
+
+from keyed import keyed_randomness
 
 
 def quad_cdf(mean, beta, degree, xs):
@@ -120,7 +122,7 @@ def test_update_markov_property():
             box, beta, {v: rng.uniform(-1, 1) for v in box.vertices()}
         )
         far = base.with_value((2, 2), rng.uniform(-1, 1))
-        iota = randomness_from_key(mix64(trial))
+        iota = keyed_randomness(mix64(trial))
         a = swm_update(base, (0, 0), iota, k=3, eps=0.1)
         b = swm_update(far, (0, 0), iota, k=3, eps=0.1)
         assert a == b
@@ -139,7 +141,7 @@ def test_update_monotone_in_neighbors():
         }
         lo = _field_with(box, beta, lo_vals)
         hi = _field_with(box, beta, hi_vals)
-        iota = randomness_from_key(mix64(trial * 13 + 1))
+        iota = keyed_randomness(mix64(trial * 13 + 1))
         a = swm_update(lo, (0, 0), iota, k=2, eps=0.15)
         b = swm_update(hi, (0, 0), iota, k=2, eps=0.15)
         if a > b:
@@ -159,7 +161,7 @@ def test_update_matching_branch_consistency_across_configs():
     key = 0
     while done < 40:
         key += 1
-        iota = randomness_from_key(mix64(key))
+        iota = keyed_randomness(mix64(key))
         if iota.b_match(eps) == 1:
             continue
         done += 1
@@ -185,7 +187,7 @@ def test_update_distribution_matches_quadrature():
     n = 100000
     samples = np.empty(n)
     for i in range(n):
-        samples[i] = swm_update(field, (0, 0), randomness_from_key(mix64(i)), 3, 0.1)
+        samples[i] = swm_update(field, (0, 0), keyed_randomness(mix64(i)), 3, 0.1)
     samples.sort()
     oracle = quad_cdf(law.mean, 1.0, 4, samples)
     assert ks_distance(samples, oracle) < 0.01
@@ -198,7 +200,7 @@ def test_matching_probability_independent_of_neighbors():
     for bc in (-1.0, 0.5):
         field = constant_field(box, beta=1.0, value=bc, bc=bc)
         hits = sum(
-            swm_update_parts(field, (0, 0), randomness_from_key(mix64(i)), 2, eps).matched
+            swm_update_parts(field, (0, 0), keyed_randomness(mix64(i)), 2, eps).matched
             for i in range(n)
         )
         p = hits / n
@@ -212,7 +214,7 @@ def test_matched_flag_uncorrelated_with_cell():
     cells = np.empty(n)
     matched = np.empty(n)
     for i in range(n):
-        parts = swm_update_parts(field, (0, 0), randomness_from_key(mix64(i)), 2, 0.25)
+        parts = swm_update_parts(field, (0, 0), keyed_randomness(mix64(i)), 2, 0.25)
         cells[i] = parts.cell
         matched[i] = parts.matched
     corr = np.corrcoef(cells, matched)[0, 1]

@@ -6,8 +6,9 @@ import pytest
 
 from exactspin.lattice import build_box
 from exactspin.oracle import enumerate_xy, xy_angle_density_oracle, xy_two_vertex_expectation
-from exactspin.randomness import UpdateRandomness, mix64, randomness_from_key
+from exactspin.randomness import mix64
 from exactspin.xy import (
+    _XS,
     BC_PLUS_I,
     BC_PLUS_ONE,
     HALF_PI,
@@ -28,9 +29,11 @@ from exactspin.xy import (
     xy_reconstruct_spins,
 )
 
+from keyed import keyed_randomness
+
 
 def _iota(key):
-    return randomness_from_key(mix64(key))
+    return keyed_randomness(mix64(key))
 
 
 def _random_triple(graph, beta, rng):
@@ -90,10 +93,12 @@ def test_angle_law_single_neighbor_formula():
     law = xy_angle_law(tau, (0,))
     assert law.cos_sums == (1.0,)
     assert law.sin_sums == (0.0,)
-    # density proportional to cosh(beta cos x)
-    for x in (0.2, 0.7, 1.3):
+    # density proportional to cosh(beta cos x), on the production grid
+    logd = law.log_density_grid()
+    for i in (0, 255, 891, 1656, len(_XS) - 1):
+        x = float(_XS[i])
         expect = math.log(2 * math.cosh(1.2 * math.cos(x))) + math.log(2.0)
-        assert abs(law.log_density(x) - expect) < 1e-12
+        assert abs(logd[i] - expect) < 1e-12
 
 
 def test_angle_law_group_structure():
@@ -112,8 +117,9 @@ def test_angle_law_group_structure():
     a, b = math.cos(0.4), math.cos(0.8)
     assert law_linked.cos_sums == (a + b,)
     assert sorted(law_split.cos_sums) == sorted((a, b))
-    x = 0.6
-    got = law_linked.log_density(x) - law_split.log_density(x)
+    i = 782  # grid point near x = 0.6
+    x = float(_XS[i])
+    got = law_linked.log_density_grid()[i] - law_split.log_density_grid()[i]
     cu = 0.9 * math.cos(x)
     expect = math.log(2 * math.cosh(cu * (a + b))) - math.log(
         4 * math.cosh(cu * a) * math.cosh(cu * b)
@@ -129,13 +135,14 @@ def test_angle_law_matches_enumeration_oracle():
     for trial in range(5):
         tau = _random_triple(g, beta=1.1, rng=rng)
         law = xy_angle_law(tau, u)
-        xs = np.linspace(1e-3, HALF_PI - 1e-3, 41)
+        idx = np.arange(0, len(_XS), 64)
+        xs = _XS[idx]
         # oracle: enumerate over u's incident edges with the full
         # coordinate density (prefactor included)
         dens = xy_angle_density_oracle(
             g, {v1: tau.alpha[v1], v2: tau.alpha[v2]}, u, 1.1, xs
         )
-        logd = np.array([law.log_density(float(x)) for x in xs])
+        logd = law.log_density_grid()[idx]
         ratio = np.log(dens) - logd
         assert ratio.max() - ratio.min() < 1e-9
 
