@@ -1,8 +1,9 @@
 """Scalar numeric kernels for the square well dynamics.
 
-Plain-Python floating point.  The array engine and the object-level
-update call the very same functions, so both execute identical IEEE
-operations and produce bit-identical trajectories.
+Plain-Python floating point.  :func:`swm_draw` is the only SWM update:
+the engine (:mod:`exactspin.engine`) calls it for both lanes of every
+event, so coupled lanes that present the same neighbour mean execute
+identical IEEE operations and get bit-identical values.
 """
 
 from __future__ import annotations

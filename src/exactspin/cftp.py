@@ -37,6 +37,31 @@ def required_digits(model: str, beta: float, d: int, eps: float) -> int:
     raise ValueError(f"unknown model {model!r}")
 
 
+def check_params(model: str, beta: float, d: int, eps: float, k: Optional[int]) -> None:
+    """Reject a model, beta, eps or digit depth k the dynamics cannot run.
+
+    ``k = None`` leaves the depth to calibration; a given k must lie in
+    [0, MAX_DIGITS] and reach the calibrated floor, below which the
+    matched refinement is not certified.
+    """
+    if model not in (MODEL_SWM, MODEL_XY):
+        raise ValueError(f"unknown model {model!r}")
+    if beta < 0.0:
+        raise ValueError("beta must be >= 0")
+    if not (0.0 < eps < 1.0):
+        raise ValueError("eps must lie in (0, 1)")
+    if k is None:
+        return
+    if not (0 <= k <= MAX_DIGITS):
+        raise ValueError(f"digit depth k must be in [0, {MAX_DIGITS}]")
+    floor = required_digits(model, beta, d, eps)
+    if k < floor:
+        raise ValueError(
+            f"digit depth k={k} below the calibrated floor {floor} "
+            f"for beta={beta}, eps={eps}"
+        )
+
+
 @dataclass(frozen=True)
 class WindowSpec:
     """A space-time dynamics window with its model parameters."""
@@ -52,20 +77,7 @@ class WindowSpec:
 
     def __post_init__(self):
         check_window(self.t_start, self.t_end)
-        if self.model not in (MODEL_SWM, MODEL_XY):
-            raise ValueError(f"unknown model {self.model!r}")
-        if not (0.0 < self.eps < 1.0):
-            raise ValueError("eps must lie in (0, 1)")
-        if self.beta < 0.0:
-            raise ValueError("beta must be >= 0")
-        if not (0 <= self.k <= MAX_DIGITS):
-            raise ValueError(f"digit depth k must be in [0, {MAX_DIGITS}]")
-        floor = required_digits(self.model, self.beta, self.region.d, self.eps)
-        if self.k < floor:
-            raise ValueError(
-                f"digit depth k={self.k} below the calibrated floor {floor} "
-                f"for beta={self.beta}, eps={self.eps}"
-            )
+        check_params(self.model, self.beta, self.region.d, self.eps, self.k)
 
 
 def auto_window(
@@ -131,20 +143,10 @@ def xy_sandwich_steps(
         yield ev, hi, lo
 
 
-def _swm_pair_fields(
-    window: WindowSpec, lat: SwmLattice, top, bot, bc_top, bc_bot
-) -> Tuple[SwmField, SwmField]:
-    ext = window.region.exterior_boundary()
-
-    def mk(arr, zeta):
-        if isinstance(zeta, Mapping):
-            bmap = {y: float(zeta[y]) for y in ext}
-        else:
-            bmap = dict.fromkeys(ext, float(zeta))
-        vals = dict(zip(lat.vertices, arr.tolist()))
-        return SwmField(window.region, vals, bmap, window.beta)
-
-    return mk(top, bc_top), mk(bot, bc_bot)
+def _swm_pair_fields(lat: SwmLattice, top, bot) -> Tuple[SwmField, SwmField]:
+    """The engine's final lanes as vertex-keyed spin records."""
+    return (SwmField(dict(zip(lat.vertices, top.tolist()))),
+            SwmField(dict(zip(lat.vertices, bot.tolist()))))
 
 
 def sandwich_run(
@@ -174,7 +176,7 @@ def sandwich_run(
             origin=origin,
             reseed=reseed,
         )
-        top, bot = _swm_pair_fields(window, lat, res.top, res.bot, bc_top, bc_bot)
+        top, bot = _swm_pair_fields(lat, res.top, res.bot)
         return SandwichPair(
             window, top, bot,
             origin_records=res.origin_records, event_count=res.event_count,

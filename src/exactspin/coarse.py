@@ -20,7 +20,7 @@ from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tupl
 
 import numpy as np
 
-from .cftp import MODEL_SWM, MODEL_XY, required_digits, xy_sandwich_steps
+from .cftp import MODEL_SWM, MODEL_XY, check_params, required_digits, xy_sandwich_steps
 from .engine import SwmLattice, swm_sandwich
 from .lattice import (
     BoxRegion,
@@ -32,7 +32,7 @@ from .lattice import (
     star_boundary,
     star_zero_cluster,
 )
-from .randomness import MAX_DIGITS, event_stream, mix64, vertex_key
+from .randomness import event_stream, mix64, vertex_key
 from .xy import XyGraph, box_graph, xy_extremes
 
 
@@ -49,18 +49,11 @@ class CoarseParams:
     k: Optional[int] = None
 
     def __post_init__(self):
-        if self.model not in (MODEL_SWM, MODEL_XY):
-            raise ValueError(f"unknown model {self.model!r}")
-        if self.beta < 0.0:
-            raise ValueError("beta must be >= 0")
-        if self.k is not None and not (0 <= self.k <= MAX_DIGITS):
-            raise ValueError(f"digit depth k must be in [0, {MAX_DIGITS}]")
         if self.L < 1:
             raise ValueError("L must be >= 1")
         if not (0.0 < self.delta < 1.0):
             raise ValueError("delta must lie in (0, 1)")
-        if not (0.0 < self.eps < 1.0):
-            raise ValueError("eps must lie in (0, 1)")
+        check_params(self.model, self.beta, self.d, self.eps, self.k)
 
     @property
     def n_L(self) -> int:

@@ -6,10 +6,11 @@ once, so the engine sees exactly the events of the object-level
 :func:`exactspin.randomness.event_stream`, and a stable ``argsort``
 puts them in time order.  The update loop is plain Python: the two
 lanes and the neighbour table are Python lists and each chunk's sorted
-events are converted to Python values a slice at a time, so the update
-kernel :func:`exactspin._scalar.swm_draw` (the same one the
-object-level update calls) only ever sees Python floats.  The run's
-final lanes are returned as arrays.
+events are converted to Python values a slice at a time.  Each update
+sums the site's neighbours inline and hands their mean to
+:func:`exactspin._scalar.swm_draw`, the one SWM update, so the kernel
+only ever sees Python floats.  The run's final lanes are returned as
+arrays.
 """
 
 from __future__ import annotations
@@ -167,7 +168,7 @@ class SwmRunResult:
     bot: np.ndarray
     mixed_ok: Optional[bool]
     origin_records: List[Tuple[float, int]] = field(default_factory=list)
-    event_count: int = 0
+    event_count: int = 0  # events processed; an early exit ends the count
 
 
 def swm_sandwich(
@@ -216,15 +217,16 @@ def swm_sandwich(
     span = max(1.0, 2.0e6 / S)
     nev = 0
     for lo, hi in _chunk_bounds(t_start, t_end, span, slab_lo):
-        times, sidx, _, up, ur, um = sorted_events(vkeys, lo, hi)
-        nev += times.size
         in_slab = lo >= slab_lo
         if in_slab and neq:
             break  # the core is split at slab entry
+        times, sidx, _, up, ur, um = sorted_events(vkeys, lo, hi)
+        nev += times.size
         events = _event_values(times, sidx, up, ur, um)
         neq = _swm_chunk(lattice, top, bot, events, bsum_t, bsum_b, law, core, neq,
                          in_slab, origin_idx, records)
         if in_slab and neq:
+            nev -= sum(1 for _ in events)  # the events after the exit never ran
             break
     mixed_ok = neq == 0 if monitoring else None  # covers slabs containing no event
     return SwmRunResult(np.array(top), np.array(bot), mixed_ok=mixed_ok,

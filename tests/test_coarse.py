@@ -11,6 +11,7 @@ from exactspin.coarse import (
     cell_is_mixed,
     decoupling_check,
     local_set,
+    sample_cluster_and_localset_sizes,
     tail_fit,
 )
 from exactspin.lattice import CellWindow, build_box
@@ -42,8 +43,10 @@ def test_cell_is_mixed_beta_zero_closed_form(model, L, expected, n):
 
 
 def test_coarse_params_reject_bad_depth_and_beta():
+    # the rule WindowSpec applies: k in [0, 15] and, at beta = 2.0, not
+    # below the calibrated floor of 3 (uncertified matching otherwise)
     for model in ("swm", "xy"):
-        for beta, k in ((0.5, 16), (0.5, -1), (-0.5, None), (-0.5, 2)):
+        for beta, k in ((0.5, 16), (0.5, -1), (-0.5, None), (-0.5, 2), (2.0, 0)):
             with pytest.raises(ValueError):
                 CoarseParams(model=model, beta=beta, d=1, L=1, delta=0.5, k=k)
         CoarseParams(model=model, beta=0.5, d=1, L=1, delta=0.5, k=15)
@@ -109,6 +112,18 @@ def test_decoupling_check_beta_zero(mode, expected):
     assert report.identical == expected
     # a draw whose local set reached the window edge was retried
     assert report.window_errors >= 1
+
+
+def test_sample_cluster_and_localset_sizes_beta_zero():
+    # at beta = 0 an anchor cell that is mixed has an empty cluster and
+    # its zone, the 15 sites of the radius-8 box, as local set; draws
+    # that reach the window edge are counted, not sampled (how many
+    # depends on whether the time-0 face is a window edge)
+    params = CoarseParams(model="swm", beta=0.0, d=1, L=2, delta=0.5)
+    cs, ls, errors = sample_cluster_and_localset_sizes(params, seed=7, samples=60)
+    assert len(cs) == len(ls) == 60 - errors
+    assert cs and all(size == 15 for c, size in zip(cs, ls) if c == 0)
+    assert sample_cluster_and_localset_sizes(params, seed=7, samples=60) == (cs, ls, errors)
 
 
 def test_tail_fit_recovers_geometric_rate():

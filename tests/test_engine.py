@@ -1,8 +1,10 @@
 import math
+import random
 
 import numpy as np
 import pytest
 
+from exactspin._scalar import swm_draw
 from exactspin.cftp import MODEL_SWM, required_digits
 from exactspin.engine import (
     MonotonicityError,
@@ -10,9 +12,8 @@ from exactspin.engine import (
     sorted_events,
     swm_sandwich,
 )
-from exactspin.lattice import build_box
+from exactspin.lattice import build_box, neighbors
 from exactspin.randomness import event_stream
-from exactspin.swm import SwmField, constant_field, swm_update
 
 
 def test_engine_stream_matches_object_stream():
@@ -57,23 +58,43 @@ def test_sandwich_order_always_held():
         assert np.all(res.top >= res.bot)
 
 
-def test_sandwich_single_update_matches_swm_update():
-    # the engine's first update at a site equals the object-level op
-    box = build_box(2, 2)
+@pytest.mark.parametrize("d", (1, 2))
+@pytest.mark.parametrize("seed", range(4))
+def test_first_update_is_swm_draw_at_neighbour_mean(d, seed):
+    # random lanes and boundary maps, run to the first event: its site
+    # takes swm_draw at the mean of its 2d neighbours (in-box lane
+    # values and boundary values alike) with sigma = 1/sqrt(2 beta D),
+    # bit for bit, and no other site moves.  Values are multiples of
+    # 2^-20, so every neighbour sum is exact in any order.
+    rng = random.Random(seed * 10 + d)
+    box = build_box(d, 2)
     lat = SwmLattice(box.vertices())
-    seed = 77
-    evs = event_stream(box, -2.0, 0.0, seed)
-    assert evs
-    res = swm_sandwich(lat, beta=1.0, k=3, eps=0.1, t_start=-2.0, t_end=evs[0].time, seed=seed)
-    first = evs[0]
-    field = SwmField(
-        box,
-        {v: 1.0 for v in box.vertices()},
-        {v: 1.0 for v in box.exterior_boundary()},
-        beta=1.0,
+    beta = (0.0, 0.5, 1.0, 2.0)[seed]
+    eps = 0.5  # half the draws refine by bisection, which reads the mean
+    k = required_digits(MODEL_SWM, beta, d, eps)
+
+    def grid_value(lo):
+        return rng.randint(math.ceil(lo * 2**20), 2**20) / 2**20
+
+    lo_vals = {v: grid_value(-1.0) for v in box.vertices()}
+    hi_vals = {v: grid_value(lo_vals[v]) for v in box.vertices()}
+    lo_bc = {y: grid_value(-1.0) for y in box.exterior_boundary()}
+    hi_bc = {y: grid_value(lo_bc[y]) for y in box.exterior_boundary()}
+    first = event_stream(box, -2.0, 0.0, seed)[0]
+    res = swm_sandwich(
+        lat, beta, k, eps, -2.0, first.time, seed, bc_top=hi_bc, bc_bot=lo_bc,
+        init_top=np.array([hi_vals[v] for v in lat.vertices]),
+        init_bot=np.array([lo_vals[v] for v in lat.vertices]),
     )
-    expect = swm_update(field, first.vertex, first.randomness, k=3, eps=0.1)
-    assert res.top[lat.index[first.vertex]] == expect
+    deg = 2 * d
+    sig = 0.0 if beta == 0.0 else 1.0 / math.sqrt(2.0 * beta * deg)
+    iota = first.randomness
+    for out, vals, bc in ((res.top, hi_vals, hi_bc), (res.bot, lo_vals, lo_bc)):
+        mean = sum(vals[w] if w in vals else bc[w] for w in neighbors(first.vertex)) / deg
+        expect = swm_draw(mean, sig, float(10**k), 10.0**-k, eps,
+                          iota.u_primary, iota.u_refine, iota.u_match)[0]
+        for v in lat.vertices:
+            assert out[lat.index[v]] == (expect if v == first.vertex else vals[v])
 
 
 def test_evolve_single_trajectory_stays_in_range():
@@ -104,16 +125,15 @@ def test_evolve_respects_boundary_map():
     assert res.top.mean() > 0.2
 
 
-def _evolve_pair(hi: SwmField, lo: SwmField, t_start, t_end, seed):
-    """Both fields run through the window's events as the two lanes of
-    one sandwich, under the fields' (shared) boundary map."""
-    lat = SwmLattice(hi.region.vertices())
-    k = required_digits(MODEL_SWM, hi.beta, hi.region.d, 0.1)
+def _evolve_pair(region, beta, hi, lo, zeta, t_start, t_end, seed):
+    """The value maps ``hi`` and ``lo`` run through the window's events as
+    the two lanes of one sandwich, under the shared boundary ``zeta``."""
+    lat = SwmLattice(region.vertices())
+    k = required_digits(MODEL_SWM, beta, region.d, 0.1)
     res = swm_sandwich(
-        lat, hi.beta, k, 0.1, t_start, t_end, seed,
-        bc_top=hi.boundary, bc_bot=lo.boundary,
-        init_top=np.array([hi.values[v] for v in lat.vertices]),
-        init_bot=np.array([lo.values[v] for v in lat.vertices]),
+        lat, beta, k, 0.1, t_start, t_end, seed, bc_top=zeta, bc_bot=zeta,
+        init_top=np.array([hi[v] for v in lat.vertices]),
+        init_bot=np.array([lo[v] for v in lat.vertices]),
     )
     return ({v: float(res.top[lat.index[v]]) for v in lat.vertices},
             {v: float(res.bot[lat.index[v]]) for v in lat.vertices})
@@ -121,34 +141,30 @@ def _evolve_pair(hi: SwmField, lo: SwmField, t_start, t_end, seed):
 
 def test_equal_lanes_empty_window_is_identity():
     region = build_box(2, 2)
-    field = constant_field(region, beta=0.5, value=0.25, bc=0.0)
-    top, bot = _evolve_pair(field, field, 0.0, 0.0, seed=5)
-    assert top == bot == field.values
+    values = dict.fromkeys(region.vertices(), 0.25)
+    top, bot = _evolve_pair(region, 0.5, values, values, 0.0, 0.0, 0.0, seed=5)
+    assert top == bot == values
 
 
 def test_equal_lanes_single_event_changes_one_site():
     region = build_box(2, 2)
-    field = constant_field(region, beta=0.5, value=0.0, bc=0.0)
+    values = dict.fromkeys(region.vertices(), 0.0)
     evs = event_stream(region, -4.0, 0.0, seed=3)
     first = evs[0]
-    top, bot = _evolve_pair(field, field, -4.0, first.time, seed=3)
+    top, bot = _evolve_pair(region, 0.5, values, values, 0.0, -4.0, first.time, seed=3)
     assert top == bot
-    changed = [v for v in region.vertices() if top[v] != field.values[v]]
+    changed = [v for v in region.vertices() if top[v] != values[v]]
     assert changed == [first.vertex]
 
 
 def test_lanes_monotone_in_initial():
-    import random
-
     region = build_box(2, 2)
     rng = random.Random(1)
     for seed in range(200):
-        lo_vals = {v: rng.uniform(-1, 1) for v in region.vertices()}
-        hi_vals = {v: rng.uniform(lo_vals[v], 1.0) for v in region.vertices()}
+        lo = {v: rng.uniform(-1, 1) for v in region.vertices()}
+        hi = {v: rng.uniform(lo[v], 1.0) for v in region.vertices()}
         bmap = {y: 0.0 for y in region.exterior_boundary()}
-        lo = SwmField(region, lo_vals, bmap, 0.5)
-        hi = SwmField(region, hi_vals, bmap, 0.5)
-        out_hi, out_lo = _evolve_pair(hi, lo, -2.0, 0.0, seed)
+        out_hi, out_lo = _evolve_pair(region, 0.5, hi, lo, bmap, -2.0, 0.0, seed)
         for v in region.vertices():
             assert out_lo[v] <= out_hi[v]
 

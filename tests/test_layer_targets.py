@@ -64,6 +64,17 @@ def test_traced_engine_attributes_are_called(monkeypatch):
     assert len(draw_args) == 2 * res.event_count
     # the kernel runs as plain Python: numpy scalars would slow every draw
     assert all(type(x) is float for args in draw_args for x in args)
+    # monitored runs count only the events they processed: seed 17 exits
+    # with the core split at slab entry, seed 30 at its fourth in-slab
+    # event, seed 18 runs through the slab
+    lat = engine.SwmLattice(build_box(2, 4).vertices())
+    core = lat.mask(lambda v: max(abs(c) for c in v) < 2)
+    for seed, mixed in ((17, False), (30, False), (18, True)):
+        draw_args.clear()
+        res = engine.swm_sandwich(lat, 0.05, 1, 0.1, -12.0, -2.0, seed=seed,
+                                  core_mask=core, slab_lo=-4.0, offset=(8, -4))
+        assert res.mixed_ok is mixed
+        assert len(draw_args) == 2 * res.event_count
 
 
 def test_pair_fields_called_once_per_swm_round(monkeypatch):
