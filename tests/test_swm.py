@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from exactspin._scalar import norm_cdf, norm_ppf, swm_draw
+from exactspin._scalar import VALUE_GRID, norm_cdf, norm_ppf, snap, swm_draw
 from exactspin.randomness import mix64
 from exactspin.swm import calibrate_matching
 
@@ -80,6 +80,43 @@ def test_update_monotone_in_neighbors():
         m_hi = rng.uniform(m_lo, 1.0)
         iota = keyed_randomness(mix64(trial * 13 + 1))
         assert _draw(m_lo, beta, 2, 0.15, iota)[0] <= _draw(m_hi, beta, 2, 0.15, iota)[0]
+
+
+def test_update_matching_branch_consistency_across_configs():
+    # fifty neighbour means sharing one matching iota: the value is the
+    # canonical composition of (cell, u_refine), the same for every mean
+    # that picks the same cell
+    rng = random.Random(11)
+    k, eps = 3, 0.2
+    w = 10.0**-k
+    done = 0
+    key = 0
+    while done < 40:
+        key += 1
+        iota = keyed_randomness(mix64(key))
+        if iota.b_match(eps) == 1:
+            continue
+        done += 1
+        by_cell = {}
+        for _ in range(50):
+            mean = sum(rng.uniform(-1, 1) for _ in range(4)) / 4
+            v, c, matched = _draw(mean, 1.0, k, eps, iota)
+            assert matched
+            assert v == min(1.0, max(-1.0, snap((c + iota.u_refine) * w, VALUE_GRID)))
+            assert by_cell.setdefault(c, v) == v
+
+
+def test_matching_probability_independent_of_neighbors():
+    # P(matched) = 1 - eps at each constant neighbour value, and under
+    # shared randomness the flag is the same at both
+    eps = 0.3
+    n = 20000
+    flags = {}
+    for bc in (-1.0, 0.5):
+        flags[bc] = [_draw(bc, 1.0, 2, eps, keyed_randomness(mix64(i)))[2] for i in range(n)]
+        p = sum(flags[bc]) / n
+        assert abs(p - (1 - eps)) < 3 * math.sqrt(eps * (1 - eps) / n)
+    assert flags[-1.0] == flags[0.5]
 
 
 def test_matched_flag_uncorrelated_with_cell():
