@@ -121,26 +121,34 @@ def _xy_equal_at(a: XyTriple, b: XyTriple, v) -> bool:
 
 def xy_sandwich_steps(
     hi: XyTriple, lo: XyTriple, events: Iterable[UpdateEvent], k: int, eps: float
-) -> Iterator[Tuple[UpdateEvent, XyTriple, XyTriple]]:
-    """Step the coupled XY lanes through ``events``, yielding (event, hi, lo).
+) -> Iterator[UpdateEvent]:
+    """Step the coupled XY lanes in place through ``events``, yielding each event.
 
     Both lanes take the update at the event's vertex with the event's
     randomness.  The sandwich order (angle of lo <= angle of hi at the
     vertex, omega of lo >= omega of hi and eta of lo <= eta of hi on its
     edges) is asserted after every update: a violation raises
-    MonotonicityError.
+    MonotonicityError.  Lanes that share a triple or one of its dicts
+    raise ValueError here, before any step: they would take each update
+    twice and pass the order check trivially.
     """
+    if hi is lo or hi.alpha is lo.alpha or hi.omega is lo.omega or hi.eta is lo.eta:
+        raise ValueError("the XY lanes must not share a triple or its dicts")
+    return _xy_steps(hi, lo, events, k, eps)
+
+
+def _xy_steps(hi, lo, events, k, eps):
     incident = hi.graph.incident
     for ev in events:
         u = ev.vertex
-        hi = xy_full_update(hi, u, ev.randomness, k, eps)
-        lo = xy_full_update(lo, u, ev.randomness, k, eps)
+        xy_full_update(hi, u, ev.randomness, k, eps)
+        xy_full_update(lo, u, ev.randomness, k, eps)
         if hi.alpha[u] < lo.alpha[u]:
             raise MonotonicityError(f"angle order violated at {u}, t={ev.time}")
         for e in incident[u]:
             if lo.omega[e] < hi.omega[e] or lo.eta[e] > hi.eta[e]:
                 raise MonotonicityError(f"edge order violated at {e}, t={ev.time}")
-        yield ev, hi, lo
+        yield ev
 
 
 def _swm_pair_fields(lat: SwmLattice, top, bot) -> Tuple[SwmField, SwmField]:
@@ -188,7 +196,7 @@ def sandwich_run(
         window.region, window.t_start, window.t_end, seed, reseed=reseed
     )
     records: List[Tuple[float, int]] = []
-    for ev, hi, lo in xy_sandwich_steps(hi, lo, events, window.k, window.eps):
+    for ev in xy_sandwich_steps(hi, lo, events, window.k, window.eps):
         if ev.vertex == origin:
             records.append((ev.time, 1 if _xy_equal_at(hi, lo, origin) else 0))
     return SandwichPair(window, hi, lo, origin_records=records, event_count=len(events))

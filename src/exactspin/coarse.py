@@ -184,11 +184,11 @@ def _xy_cell_bit(cell: Cell, params: CoarseParams, seed: int, good: bool) -> int
     events = event_stream(zone, params.run_start(j), slab_hi, seed)
     n_run_in = sum(1 for ev in events if ev.time <= slab_lo)
     k, eps = params.digits, params.eps
-    for _, hi, lo in xy_sandwich_steps(hi, lo, events[:n_run_in], k, eps):
+    for _ in xy_sandwich_steps(hi, lo, events[:n_run_in], k, eps):
         pass
     if not holds(hi, lo):
         return 0
-    for _, hi, lo in xy_sandwich_steps(hi, lo, events[n_run_in:], k, eps):
+    for _ in xy_sandwich_steps(hi, lo, events[n_run_in:], k, eps):
         if not holds(hi, lo):
             return 0
     return 1

@@ -82,6 +82,31 @@ def test_xy_swapped_lanes_raise_monotonicity_error():
         assert str(events[0].vertex) in str(err.value)
 
 
+def test_xy_aliased_lanes_raise_value_error():
+    # lanes are updated in place: a shared triple, or a shared alpha, omega
+    # or eta dict, would take every update twice and pass the order check
+    region = build_box(2, 2)
+    graph = box_graph(region)
+    events = event_stream(region, -2.0, 0.0, 3)
+    lo, hi = xy_extremes(graph, 1.0, bc=BC_PLUS_ONE)
+    before = (dict(lo.alpha), dict(lo.omega), dict(lo.eta))
+    sharing = [
+        lo,
+        XyTriple(graph, lo.alpha, dict(hi.omega), dict(hi.eta), 1.0),
+        XyTriple(graph, dict(hi.alpha), lo.omega, dict(hi.eta), 1.0),
+        XyTriple(graph, dict(hi.alpha), dict(hi.omega), lo.eta, 1.0),
+    ]
+    for other in sharing:
+        for top, bot in ((other, lo), (lo, other)):
+            with pytest.raises(ValueError, match="share"):
+                xy_sandwich_steps(top, bot, events, 2, 0.1)
+    assert (lo.alpha, lo.omega, lo.eta) == before
+    # distinct lanes run, and are stepped in place
+    steps = list(xy_sandwich_steps(hi, lo, events, 2, 0.1))
+    assert steps == list(events)
+    assert xy_leq(lo, hi) and lo.alpha != before[0]
+
+
 def test_sandwich_coalescence_fraction_grows_beta_zero():
     region = build_box(2, 3)
     fractions = []

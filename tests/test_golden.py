@@ -4,13 +4,14 @@ Coupled lanes must see bitwise-equal randomness and conditional laws, so
 any change to event generation, ordering or the update kernel that moves
 one bit of a trajectory shows up here.  The SWM digests were recorded
 from the engine before its event generator was rewritten, the XY ones
-before the XY lane loop was shared between CFTP and coarse cells; none
-may be updated to follow a change in the numbers.  One was re-recorded
-for a change in what is counted, not in any trajectory: ``offset_core``
-after ``event_count`` stopped counting the events a monitored run never
-processed (seed 17 exits at slab entry and now reports its 398 run-in
-events, not 501; setting its count back to 501 gives the old digest
-``1287d56c...``).
+before the XY lane loop was shared between CFTP and coarse cells (the
+``+i`` pair and the beta > 0 cell bits before the XY lanes were updated
+in place and the angle law memoised); none may be updated to follow a
+change in the numbers.  One was re-recorded for a change in what is
+counted, not in any trajectory: ``offset_core`` after ``event_count``
+stopped counting the events a monitored run never processed (seed 17
+exits at slab entry and now reports its 398 run-in events, not 501;
+setting its count back to 501 gives the old digest ``1287d56c...``).
 """
 
 import hashlib
@@ -107,8 +108,8 @@ def test_event_stream_digest():
     assert _digest(items) == expected
 
 
-def test_xy_sandwich_digest():
-    window = auto_window(build_box(2, 2), -6.0, 0.0, MODEL_XY, beta=1.0, boundary="+1")
+def _xy_pairs_digest(beta, boundary) -> str:
+    window = auto_window(build_box(2, 2), -6.0, 0.0, MODEL_XY, beta=beta, boundary=boundary)
     items = []
     for seed in (4, 5):
         pair = sandwich_run(window, seed, origin=(0, 0))
@@ -120,8 +121,18 @@ def test_xy_sandwich_digest():
         for t, eq in pair.origin_records:
             items += [float(t), int(eq)]
         items.append(pair.event_count)
+    return _digest(items)
+
+
+def test_xy_sandwich_digest():
     expected = "b095314d3d2e52cdf278ec8484703cc633f5d4feec9e64f92f344c8762585b00"
-    assert _digest(items) == expected
+    assert _xy_pairs_digest(1.0, "+1") == expected
+
+
+def test_xy_sandwich_digest_plus_i():
+    # frozen angle pi/2: the boundary enters the sin sums (eta groups)
+    expected = "214691ab8631633a591e017f7e95fb8c730d80314d6562c925331926b9596b5a"
+    assert _xy_pairs_digest(0.7, "+i") == expected
 
 
 def test_xy_cell_bits_digest():
@@ -131,4 +142,15 @@ def test_xy_cell_bits_digest():
     good = [cell_is_good(cell, params, seed) for cell, seed in cases]
     assert 0 < sum(mixed) < len(cases) and 0 < sum(good) < len(cases)
     expected = "3245c105207b244f70a97f8a6fe4565825058d2d004f321d8a8ce0f13b86006d"
+    assert _digest(mixed + good) == expected
+
+
+def test_xy_cell_bits_digest_positive_beta():
+    # beta > 0 runs the angle law and the edge enumeration with non-trivial
+    # weights; the bit counts are not pinned, only the bits
+    params = CoarseParams(model="xy", beta=0.2, d=1, L=1, delta=0.5)
+    cases = [((-(s % 3), (s % 5 - 2,)), s) for s in range(60)]
+    mixed = [cell_is_mixed(cell, params, seed) for cell, seed in cases]
+    good = [cell_is_good(cell, params, seed) for cell, seed in cases]
+    expected = "451aad56e71649f70c91639b93e8e787b733e5d9d0413bcb55d53f3b02e37323"
     assert _digest(mixed + good) == expected

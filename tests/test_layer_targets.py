@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from exactspin import cftp, engine
+from exactspin import cftp, engine, xy
 from exactspin.lattice import build_box
 
 _LAYERTRACE = Path(__file__).resolve().parent.parent / "perfbench" / "layertrace.py"
@@ -75,6 +75,38 @@ def test_traced_engine_attributes_are_called(monkeypatch):
                                   core_mask=core, slab_lo=-4.0, offset=(8, -4))
         assert res.mixed_ok is mixed
         assert len(draw_args) == 2 * res.event_count
+
+
+def test_traced_xy_attributes_are_called(monkeypatch):
+    # perfbench reads the XY path through cftp.xy_full_update, xy._groups,
+    # xy.AngleLawHandle.cdf_grid and xy.XyTriple.copy: two lane updates per
+    # event, each in place with its neighbour groups computed once per
+    # bond field, and no triple copy in the lane loop
+    calls = {"xy_full_update": 0, "_groups": 0, "cdf_grid": 0, "copy": 0}
+
+    def counting(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            out = original(*args, **kwargs)
+            if name == "xy_full_update":
+                assert out is args[0]  # the lane itself, updated in place
+            return out
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counting(cftp, "xy_full_update")
+    counting(xy, "_groups")
+    counting(xy.AngleLawHandle, "cdf_grid")
+    counting(xy.XyTriple, "copy")
+    window = cftp.auto_window(build_box(2, 2), -4.0, 0.0, "xy", 1.0, boundary="+1")
+    pair = cftp.sandwich_run(window, seed=3)
+    assert pair.event_count > 0
+    assert calls["xy_full_update"] == 2 * pair.event_count
+    assert calls["_groups"] == 2 * calls["xy_full_update"]
+    assert calls["cdf_grid"] >= calls["xy_full_update"]
+    assert calls["copy"] == 0
 
 
 def test_pair_fields_called_once_per_swm_round(monkeypatch):

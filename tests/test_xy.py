@@ -4,11 +4,14 @@ import random
 import numpy as np
 import pytest
 
+from exactspin import xy as xy_mod
+from exactspin.cftp import auto_window, sandwich_run
 from exactspin.lattice import build_box
 from exactspin.oracle import enumerate_xy, xy_angle_density_oracle, xy_two_vertex_expectation
 from exactspin.randomness import mix64
 from exactspin.xy import (
     _XS,
+    _conditional_open_prob,
     BC_PLUS_I,
     BC_PLUS_ONE,
     HALF_PI,
@@ -428,3 +431,133 @@ def test_calibrate_matching_xy():
     assert ks == sorted(ks, reverse=True)
     k = calibrate_matching_xy(1.0, 2, 0.15)
     assert 4 * 2 * 1.0 * HALF_PI * 10.0**-k <= -math.log1p(-0.15)
+
+
+def _uncached_log_density(beta, cos_sums, sin_sums):
+    out = np.zeros(len(_XS))
+    for s in cos_sums:
+        y = beta * s * np.cos(_XS)
+        out += np.logaddexp(y, -y)
+    for s in sin_sums:
+        y = beta * s * np.sin(_XS)
+        out += np.logaddexp(y, -y)
+    return out
+
+
+def _uncached_cdf(beta, cos_sums, sin_sums):
+    logf = _uncached_log_density(beta, cos_sums, sin_sums)
+    f = np.exp(logf - logf.max())
+    cum = np.concatenate([[0.0], np.cumsum(0.5 * (f[1:] + f[:-1]))])
+    return cum / cum[-1]
+
+
+def test_memoised_angle_law_matches_uncached_formula():
+    rng = random.Random(2)
+    laws = [((), ()), ((0.0,), (0.0,)), ((0.0, 0.0), ()), ((1e-300, 5e-324), (1e-17,)),
+            ((0.7, 0.7, 0.7), (0.7,)), ((2.0,), ()), ((), (2.0,))]
+    for _ in range(40):
+        pool = [rng.uniform(0, 3) for _ in range(3)]
+        laws.append((tuple(rng.choice(pool) for _ in range(rng.randint(0, 4))),
+                     tuple(rng.choice(pool) for _ in range(rng.randint(0, 4)))))
+    # every law twice, in shuffled order: the second visit reads the caches
+    order = laws + laws
+    rng.shuffle(order)
+    for beta in (0.0, 0.45, 1.0, 3.7):
+        for cos_sums, sin_sums in order:
+            h = AngleLawHandle(cos_sums=cos_sums, sin_sums=sin_sums, beta=beta)
+            logd = h.log_density_grid()
+            assert logd.tobytes() == _uncached_log_density(beta, cos_sums, sin_sums).tobytes()
+            cdf = h.cdf_grid()
+            assert cdf.tobytes() == _uncached_cdf(beta, cos_sums, sin_sums).tobytes()
+            assert h.cdf_grid() is cdf
+
+
+def test_memoised_arrays_are_read_only():
+    h = AngleLawHandle(cos_sums=(0.3, 1.2), sin_sums=(0.9,), beta=1.0)
+    cdf = h.cdf_grid()
+    with pytest.raises(ValueError):
+        cdf[5] = 0.0
+    with pytest.raises(ValueError):
+        xy_mod._log_cosh_term(0.3, 0)[0] = 0.0
+    # the log density is a fresh sum: changing it leaves the next one alone
+    logd = h.log_density_grid()
+    logd[:] = 0.0
+    assert h.log_density_grid().tobytes() == _uncached_log_density(1.0, (0.3, 1.2), (0.9,)).tobytes()
+
+
+def test_angle_law_caches_stay_within_their_caps():
+    caches = (xy_mod._log_cosh_term, xy_mod._normalised_cdf)
+    caps = [c.cache_info().maxsize for c in caches]
+    assert caps == [16, 8]
+    window = auto_window(build_box(2, 2), -8.0, 0.0, "xy", beta=1.0, boundary="+1")
+    for seed in range(3):
+        sandwich_run(window, seed)
+    for cache, cap in zip(caches, caps):
+        info = cache.cache_info()
+        assert info.misses > cap  # the run went past the cap
+        assert info.currsize <= cap
+
+
+def _set_based_open_prob(p_list, target_blocks, u_linked_blocks, n_blocks):
+    m = len(p_list)
+    w_open = 0.0
+    w_closed = 0.0
+    for mask in range(1 << m):
+        w = 1.0
+        linked = set(u_linked_blocks)
+        for i in range(m):
+            if mask >> i & 1:
+                w *= p_list[i]
+                linked.add(target_blocks[i])
+            else:
+                w *= 1.0 - p_list[i]
+        comps = n_blocks + 1 - len(linked)
+        w *= 2.0**comps
+        if mask & 1:
+            w_open += w
+        else:
+            w_closed += w
+    total = w_open + w_closed
+    if total <= 0.0:
+        return 0.0
+    return w_open / total
+
+
+def test_open_prob_matches_set_based_enumeration():
+    rng = random.Random(11)
+    for trial in range(3000):
+        m = rng.randint(1, 5)
+        n_blocks = rng.randint(1, m + 1)
+        p_list = [rng.choice([0.0, 1.0, 1e-17, rng.random(), rng.random()]) for _ in range(m)]
+        blocks = [rng.randrange(n_blocks) for _ in range(m)]
+        linked = {b for b in range(n_blocks) if rng.random() < 0.3}
+        mask = sum(1 << b for b in linked)
+        got = _conditional_open_prob(p_list, blocks, mask, n_blocks)
+        assert got.hex() == _set_based_open_prob(p_list, blocks, linked, n_blocks).hex()
+
+
+def _grid_bound(law):
+    h = _XS[1] - _XS[0]
+    L = law.beta * (sum(law.cos_sums) + sum(law.sin_sums))
+    return h * h * (1 + L) ** 2 * math.exp(L * h) / 2
+
+
+@pytest.mark.parametrize("beta, a_v", [(1.0, 0.6), (4.0, HALF_PI / 2), (2.5, 0.0)])
+def test_angle_cdf_grid_within_stated_bound(beta, a_v):
+    # two nodes, one edge: the conditional law of the angle at u is the
+    # oracle's summed density; Simpson on a 16x finer grid is its CDF
+    u, v = (0,), (1,)
+    g = XyGraph(free=[u, v], edges=[(u, v)])
+    tau = XyTriple(g, {u: 0.3, v: a_v}, {g.edges[0]: 0}, {g.edges[0]: 0}, beta=beta)
+    law = xy_angle_law(tau, u)
+    fine = np.linspace(0.0, HALF_PI, 16 * (len(_XS) - 1) + 1)
+    dens = xy_angle_density_oracle(g, {v: a_v}, u, beta, fine)
+    step = fine[1] - fine[0]
+    pieces = step / 3 * (dens[:-2:2] + 4 * dens[1:-1:2] + dens[2::2])
+    exact = np.concatenate([[0.0], np.cumsum(pieces)])
+    exact /= exact[-1]
+    xs = fine[::2]
+    err = np.max(np.abs(np.interp(xs, _XS, law.cdf_grid()) - exact))
+    bound = _grid_bound(law)
+    assert bound < 1e-4
+    assert err <= bound
