@@ -3,12 +3,16 @@
 Plain-Python floating point.  :func:`swm_draw` is the only SWM update:
 the engine (:mod:`exactspin.engine`) calls it for both lanes of every
 event, so coupled lanes that present the same neighbour mean execute
-identical IEEE operations and get bit-identical values.
+identical IEEE operations and get bit-identical values.  The normal
+quantile is the standard library's ``NormalDist().inv_cdf``: Wichura's
+Algorithm AS 241 (Applied Statistics 37:477-484, 1988), accurate to
+about 1e-16.
 """
 
 from __future__ import annotations
 
 import math
+from statistics import NormalDist
 
 _INV_SQRT2 = 0.7071067811865476
 
@@ -32,51 +36,8 @@ def norm_cdf(z: float) -> float:
     return 0.5 * math.erfc(-z * _INV_SQRT2)
 
 
-def norm_ppf(p: float) -> float:
-    """Wichura's PPND16 inverse normal CDF (Algorithm AS 241)."""
-    q = p - 0.5
-    if abs(q) <= 0.425:
-        r = 0.180625 - q * q
-        num = (((((((2.5090809287301226727e3 * r + 3.3430575583588128105e4) * r
-                    + 6.7265770927008700853e4) * r + 4.5921953931549871457e4) * r
-                  + 1.3731693765509461125e4) * r + 1.9715909503065514427e3) * r
-                + 1.3314166789178437745e2) * r + 3.3871328727963666080e0)
-        den = (((((((5.2264952788528545610e3 * r + 2.8729085735721942674e4) * r
-                    + 3.9307895800092710610e4) * r + 2.1213794301586595867e4) * r
-                  + 5.3941960214247511077e3) * r + 6.8718700749205790830e2) * r
-                + 4.2313330701600911252e1) * r + 1.0)
-        return q * num / den
-    if q < 0.0:
-        r = p
-    else:
-        r = 1.0 - p
-    if r <= 0.0:
-        r = 5e-324
-    r = math.sqrt(-math.log(r))
-    if r <= 5.0:
-        r = r - 1.6
-        num = (((((((7.74545014278341407640e-4 * r + 2.27238449892691845833e-2) * r
-                    + 2.41780725177450611770e-1) * r + 1.27045825245236838258e0) * r
-                  + 3.64784832476320460504e0) * r + 5.76949722146069140550e0) * r
-                + 4.63033784615654529590e0) * r + 1.42343711074968357734e0)
-        den = (((((((1.05075007164441684324e-9 * r + 5.47593808499534494600e-4) * r
-                    + 1.51986665636164571966e-2) * r + 1.48103976427480074590e-1) * r
-                  + 6.89767334985100004550e-1) * r + 1.67638483018380384940e0) * r
-                + 2.05319162663775882187e0) * r + 1.0)
-    else:
-        r = r - 5.0
-        num = (((((((2.01033439929228813265e-7 * r + 2.71155556874348757815e-5) * r
-                    + 1.24266094738807843860e-3) * r + 2.65321895265761230930e-2) * r
-                  + 2.96560571828504891230e-1) * r + 1.78482653991729133580e0) * r
-                + 5.46378491116411436990e0) * r + 6.65790464350110377720e0)
-        den = (((((((2.04426310338993978564e-15 * r + 1.42151175831644588870e-7) * r
-                    + 1.84631831751005468180e-5) * r + 7.86869131145613259100e-4) * r
-                  + 1.48753612908506148525e-2) * r + 1.36929880922735805310e-1) * r
-                + 5.99832206555887937690e-1) * r + 1.0)
-    val = num / den
-    if q < 0.0:
-        val = -val
-    return val
+# defined on the open interval (0, 1); swm_draw clamps p into it
+norm_ppf = NormalDist().inv_cdf
 
 
 def cell_floor(x: float, tenk: float, w: float) -> float:

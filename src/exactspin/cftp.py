@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import swm as swm_mod
 from . import xy as xy_mod
@@ -158,8 +158,7 @@ def _swm_pair_fields(lat: SwmLattice, top, bot) -> Tuple[SwmField, SwmField]:
 
 
 def sandwich_run(
-    window: WindowSpec, seed: int, origin: Optional[Vertex] = None,
-    reseed: Optional[Mapping[Vertex, int]] = None,
+    window: WindowSpec, seed: int, origin: Optional[Vertex] = None
 ) -> SandwichPair:
     """Evolve both extremal starts under the identical event stream.
 
@@ -182,7 +181,6 @@ def sandwich_run(
             bc_top=bc_top,
             bc_bot=bc_bot,
             origin=origin,
-            reseed=reseed,
         )
         top, bot = _swm_pair_fields(lat, res.top, res.bot)
         return SandwichPair(
@@ -192,9 +190,7 @@ def sandwich_run(
 
     graph = box_graph(window.region)
     lo, hi = xy_extremes(graph, window.beta, bc=window.boundary)
-    events = event_stream(
-        window.region, window.t_start, window.t_end, seed, reseed=reseed
-    )
+    events = event_stream(window.region, window.t_start, window.t_end, seed)
     records: List[Tuple[float, int]] = []
     for ev in xy_sandwich_steps(hi, lo, events, window.k, window.eps):
         if ev.vertex == origin:

@@ -306,16 +306,16 @@ def _lane_groups(tau: XyTriple, u) -> Groups:
     return _groups(tau, u, tau.omega), _groups(tau, u, tau.eta)
 
 
-def xy_angle_law(tau: XyTriple, u, groups: Optional[Groups] = None) -> AngleLawHandle:
+def xy_angle_law(tau: XyTriple, u, groups: Groups) -> AngleLawHandle:
     """The conditional law of the angle at u given the rest of the triple.
 
     Reads alpha on N(u) and the omega/eta connectivity groups of the
     neighbours in the graph without u (the update's almost-Markov
-    support); ``groups`` passes those groups in when already computed.
+    support), passed in as ``groups`` from :func:`_lane_groups`.
     """
     if tau.graph.is_frozen[u]:
         raise ValueError("cannot resample a frozen boundary node")
-    omega_groups, eta_groups = _lane_groups(tau, u) if groups is None else groups
+    omega_groups, eta_groups = groups
     alpha = tau.alpha
     cos_sums = tuple(sum(math.cos(alpha[v]) for v in g) for g in omega_groups)
     sin_sums = tuple(sum(math.sin(alpha[v]) for v in g) for g in eta_groups)
@@ -328,8 +328,7 @@ def _angle_cell_bounds(c: int, k: int) -> Tuple[float, float]:
 
 
 def xy_angle_update(
-    tau: XyTriple, u, iota: UpdateRandomness, k: int, eps: float,
-    groups: Optional[Groups] = None,
+    tau: XyTriple, u, iota: UpdateRandomness, k: int, eps: float, groups: Groups
 ) -> float:
     """Two-stage digit-matching draw of the new angle at u.
 
@@ -429,7 +428,7 @@ def _conditional_open_prob(
 
 
 def xy_edge_update(
-    tau: XyTriple, u, iota: UpdateRandomness, groups: Optional[Groups] = None
+    tau: XyTriple, u, iota: UpdateRandomness, groups: Groups
 ) -> Tuple[Dict[Tuple, int], Dict[Tuple, int]]:
     """Resample the edges incident to u given the fresh angle at u.
 
@@ -437,14 +436,12 @@ def xy_edge_update(
     each from its exact conditional with the not-yet-decided incident
     edges summed out, using one independent uniform per (edge, field).
     Monotone under the triple order for shared uniforms.  Returns the
-    new omega and eta values on the incident edges; ``groups`` passes in
-    u's (omega, eta) neighbour groups when already computed.
+    new omega and eta values on the incident edges; ``groups`` are u's
+    (omega, eta) neighbour groups from :func:`_lane_groups`.
     """
     graph = tau.graph
     incident = graph.incident[u]
     nbrs = graph.neighbors_of(u)
-    if groups is None:
-        groups = _lane_groups(tau, u)
     beta, alpha, au = tau.beta, tau.alpha, tau.alpha[u]
     new_omega: Dict[Tuple, int] = {}
     new_eta: Dict[Tuple, int] = {}
@@ -599,37 +596,20 @@ def xy_reconstruct_spins(
 def calibrate_matching_xy(beta: float, d: int, eps: float) -> int:
     """Smallest digit depth for the angle-law domination precondition.
 
-    The within-cell log-density variation of any conditional angle law
-    is at most 4*d*beta times the cell width (each neighbour
-    contributes one cosh factor per field with unit Lipschitz bound);
-    certified against the extremal one-group and all-singleton handles
-    numerically.
+    Returns the least k <= MAX_DIGITS with 4*d*beta*w <= -log(1 - eps)
+    for the digit-cell width w = (pi/2) 10^-k.  That bounds the
+    variation of the log density of any conditional angle law across a
+    cell: each group term log 2cosh(beta*s*c(x)), with c = cos or sin,
+    has slope at most beta*s, where s <= the group's size; the omega
+    groups and the eta groups each partition the 2d neighbours, so
+    |(log f)'| <= 4*d*beta.
     """
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must lie in (0, 1)")
     if beta == 0.0:
         return 0
     budget = -math.log1p(-eps)
-    handles = [
-        AngleLawHandle(cos_sums=(float(2 * d),), sin_sums=(), beta=beta),
-        AngleLawHandle(cos_sums=(), sin_sums=(float(2 * d),), beta=beta),
-        AngleLawHandle(cos_sums=(1.0,) * 2 * d, sin_sums=(1.0,) * 2 * d, beta=beta),
-        AngleLawHandle(cos_sums=(float(d),), sin_sums=(float(d),), beta=beta),
-    ]
     for k in range(0, MAX_DIGITS + 1):
-        width = HALF_PI * 10.0**-k
-        if 4.0 * d * beta * width <= budget:
-            # numeric confirmation on a fine grid
-            ok = True
-            for h in handles:
-                logf = h.log_density_grid()
-                cells = np.array_split(logf, 10**k if 10**k <= _GRID_N else _GRID_N)
-                for chunk in cells:
-                    if chunk.size and chunk.max() - chunk.min() > budget + 1e-9:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                return k
+        if 4.0 * d * beta * (HALF_PI * 10.0**-k) <= budget:
+            return k
     raise RuntimeError("no digit depth up to 15 certifies the domination")

@@ -12,6 +12,7 @@ from exactspin.randomness import mix64
 from exactspin.xy import (
     _XS,
     _conditional_open_prob,
+    _lane_groups,
     BC_PLUS_I,
     BC_PLUS_ONE,
     HALF_PI,
@@ -82,7 +83,7 @@ def test_box_graph_leaf_split():
 def test_angle_law_no_neighbors_is_uniform():
     g = XyGraph(free=[(0,)], edges=[])
     tau = XyTriple(g, {(0,): 0.3}, {}, {}, beta=2.0)
-    law = xy_angle_law(tau, (0,))
+    law = xy_angle_law(tau, (0,), _lane_groups(tau, (0,)))
     assert law.cos_sums == () and law.sin_sums == ()
     for u in (0.1, 0.5, 0.9):
         assert abs(law.inverse(u) - u * HALF_PI) < 1e-9
@@ -93,7 +94,7 @@ def test_angle_law_single_neighbor_formula():
     tau = XyTriple(
         g, {(0,): 0.3, (1,): 0.0}, {g.edges[0]: 0}, {g.edges[0]: 0}, beta=1.2
     )
-    law = xy_angle_law(tau, (0,))
+    law = xy_angle_law(tau, (0,), _lane_groups(tau, (0,)))
     assert law.cos_sums == (1.0,)
     assert law.sin_sums == (0.0,)
     # density proportional to cosh(beta cos x), on the production grid
@@ -115,8 +116,8 @@ def test_angle_law_group_structure():
     linked[(v1, v2)] = 1
     t_linked = XyTriple(g, alpha, linked, dict(base), beta=0.9)
     t_split = XyTriple(g, alpha, dict(base), dict(base), beta=0.9)
-    law_linked = xy_angle_law(t_linked, u)
-    law_split = xy_angle_law(t_split, u)
+    law_linked = xy_angle_law(t_linked, u, _lane_groups(t_linked, u))
+    law_split = xy_angle_law(t_split, u, _lane_groups(t_split, u))
     a, b = math.cos(0.4), math.cos(0.8)
     assert law_linked.cos_sums == (a + b,)
     assert sorted(law_split.cos_sums) == sorted((a, b))
@@ -137,7 +138,7 @@ def test_angle_law_matches_enumeration_oracle():
     rng = random.Random(5)
     for trial in range(5):
         tau = _random_triple(g, beta=1.1, rng=rng)
-        law = xy_angle_law(tau, u)
+        law = xy_angle_law(tau, u, _lane_groups(tau, u))
         idx = np.arange(0, len(_XS), 64)
         xs = _XS[idx]
         # oracle: enumerate over u's incident edges with the full
@@ -156,7 +157,7 @@ def test_angle_update_beta_zero():
     for key in range(50):
         tau = _random_triple(g, beta=0.0, rng=rng)
         iota = _iota(key)
-        val = xy_angle_update(tau, (0, 0), iota, k=1, eps=0.3)
+        val = xy_angle_update(tau, (0, 0), iota, k=1, eps=0.3, groups=_lane_groups(tau, (0, 0)))
         cell = int(val / (HALF_PI / 10))
         expect = (cell + iota.u_refine) * (HALF_PI / 10)
         assert abs(val - expect) < 1e-8
@@ -169,8 +170,8 @@ def test_angle_update_monotone():
     for key in range(4000):
         lo, hi = _ordered_pair(g, 0.9, rng)
         iota = _iota(key)
-        a = xy_angle_update(lo, (0, 0), iota, k=2, eps=0.15)
-        b = xy_angle_update(hi, (0, 0), iota, k=2, eps=0.15)
+        a = xy_angle_update(lo, (0, 0), iota, k=2, eps=0.15, groups=_lane_groups(lo, (0, 0)))
+        b = xy_angle_update(hi, (0, 0), iota, k=2, eps=0.15, groups=_lane_groups(hi, (0, 0)))
         if a > b:
             violations += 1
     assert violations == 0
@@ -190,7 +191,7 @@ def test_angle_update_distribution_matches_oracle():
     n = 30000
     samples = np.empty(n)
     for i in range(n):
-        samples[i] = xy_angle_update(tau, u, _iota(i), k=2, eps=0.1)
+        samples[i] = xy_angle_update(tau, u, _iota(i), k=2, eps=0.1, groups=_lane_groups(tau, u))
     samples.sort()
     xs = np.linspace(0, HALF_PI, 4001)
     dens = xy_angle_density_oracle(g, {v1: 0.9, v2: 0.4}, u, 1.0, xs)
@@ -207,7 +208,7 @@ def test_edge_update_cos_zero_forces_closed():
     e = g.edges[0]
     tau = XyTriple(g, {(0,): HALF_PI, (1,): HALF_PI}, {e: 1}, {e: 1}, beta=1.5)
     for key in range(200):
-        om, et = xy_edge_update(tau, (0,), _iota(key))
+        om, et = xy_edge_update(tau, (0,), _iota(key), _lane_groups(tau, (0,)))
         assert om[e] == 0  # cos factors vanish
         assert et[e] >= 0  # eta unconstrained here
 
@@ -222,7 +223,7 @@ def test_edge_update_two_vertex_marginal():
     n = 50000
     om_hits = et_hits = 0
     for key in range(n):
-        om, et = xy_edge_update(tau, (0,), _iota(key))
+        om, et = xy_edge_update(tau, (0,), _iota(key), _lane_groups(tau, (0,)))
         om_hits += om[e]
         et_hits += et[e]
     for hits, expect in ((om_hits, law.omega_marginal(e)), (et_hits, law.eta_marginal(e))):
@@ -244,7 +245,7 @@ def test_edge_update_star_joint_matches_enumeration():
     counts = {}
     n = 60000
     for key in range(n):
-        om, _ = xy_edge_update(tau, u, _iota(key))
+        om, _ = xy_edge_update(tau, u, _iota(key), _lane_groups(tau, u))
         cfg = (om[e1], om[e2])
         counts[cfg] = counts.get(cfg, 0) + 1
     for cfg, prob in law.omega_probs.items():
@@ -262,8 +263,8 @@ def test_edge_update_monotone():
         lo.alpha[(0, 0)] = 0.4
         hi.alpha[(0, 0)] = 0.9
         iota = _iota(key)
-        om_lo, et_lo = xy_edge_update(lo, (0, 0), iota)
-        om_hi, et_hi = xy_edge_update(hi, (0, 0), iota)
+        om_lo, et_lo = xy_edge_update(lo, (0, 0), iota, _lane_groups(lo, (0, 0)))
+        om_hi, et_hi = xy_edge_update(hi, (0, 0), iota, _lane_groups(hi, (0, 0)))
         for e in om_lo:
             assert om_lo[e] >= om_hi[e]
             assert et_lo[e] <= et_hi[e]
@@ -329,14 +330,14 @@ def test_almost_markov_update_insensitive_outside_support():
         if v2 != verts:
             continue
         iota = _iota(key)
-        a1 = xy_angle_update(tau, (0, 0), iota, k=2, eps=0.15)
-        a2 = xy_angle_update(pert, (0, 0), iota, k=2, eps=0.15)
+        a1 = xy_angle_update(tau, (0, 0), iota, k=2, eps=0.15, groups=_lane_groups(tau, (0, 0)))
+        a2 = xy_angle_update(pert, (0, 0), iota, k=2, eps=0.15, groups=_lane_groups(pert, (0, 0)))
         assert a1 == a2
         t1, t2 = tau.copy(), pert.copy()
         t1.alpha[(0, 0)] = a1
         t2.alpha[(0, 0)] = a2
-        om1, et1 = xy_edge_update(t1, (0, 0), iota)
-        om2, et2 = xy_edge_update(t2, (0, 0), iota)
+        om1, et1 = xy_edge_update(t1, (0, 0), iota, _lane_groups(t1, (0, 0)))
+        om2, et2 = xy_edge_update(t2, (0, 0), iota, _lane_groups(t2, (0, 0)))
         assert om1 == om2 and et1 == et2
 
 
@@ -418,8 +419,8 @@ def test_holley_dominance_of_angle_laws():
     xs = np.linspace(0, HALF_PI, 10001)
     for _ in range(100):
         lo, hi = _ordered_pair(g, 1.0, rng)
-        f_lo = xy_angle_law(lo, (0, 0))
-        f_hi = xy_angle_law(hi, (0, 0))
+        f_lo = xy_angle_law(lo, (0, 0), _lane_groups(lo, (0, 0)))
+        f_hi = xy_angle_law(hi, (0, 0), _lane_groups(hi, (0, 0)))
         F_lo = np.interp(xs, np.linspace(0, HALF_PI, 2049), f_lo.cdf_grid())
         F_hi = np.interp(xs, np.linspace(0, HALF_PI, 2049), f_hi.cdf_grid())
         assert np.all(F_hi <= F_lo + 1e-9)
@@ -431,6 +432,76 @@ def test_calibrate_matching_xy():
     assert ks == sorted(ks, reverse=True)
     k = calibrate_matching_xy(1.0, 2, 0.15)
     assert 4 * 2 * 1.0 * HALF_PI * 10.0**-k <= -math.log1p(-0.15)
+    with pytest.raises(RuntimeError):
+        calibrate_matching_xy(1e15, 2, 0.1)
+
+
+# Digit depths recorded from the earlier calibration, which confirmed the
+# Lipschitz rule numerically on the grid log densities of four extremal
+# angle laws before accepting a depth.  Rows are (d, eps), columns
+# _DEPTH_BETAS.
+_DEPTH_BETAS = (0.01, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 1.0, 1.5, 2.0, 3.0, 5.0, 8.0)
+_RECORDED_DEPTHS = {
+    (1, 0.01): (1, 2, 2, 3, 3, 3, 3, 3, 3, 4, 4, 4, 4),
+    (1, 0.05): (1, 1, 2, 2, 2, 2, 2, 3, 3, 3, 3, 3, 3),
+    (1, 0.1): (0, 1, 1, 2, 2, 2, 2, 2, 2, 3, 3, 3, 3),
+    (1, 0.15): (0, 1, 1, 1, 2, 2, 2, 2, 2, 2, 3, 3, 3),
+    (1, 0.3): (0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 2, 2, 3),
+    (1, 0.5): (0, 0, 0, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2),
+    (2, 0.01): (2, 2, 3, 3, 3, 3, 3, 4, 4, 4, 4, 4, 5),
+    (2, 0.05): (1, 2, 2, 2, 2, 3, 3, 3, 3, 3, 3, 4, 4),
+    (2, 0.1): (1, 1, 2, 2, 2, 2, 2, 3, 3, 3, 3, 3, 3),
+    (2, 0.15): (0, 1, 1, 2, 2, 2, 2, 2, 3, 3, 3, 3, 3),
+    (2, 0.3): (0, 1, 1, 1, 2, 2, 2, 2, 2, 2, 3, 3, 3),
+    (2, 0.5): (0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 2, 2, 3),
+    (3, 0.01): (2, 2, 3, 3, 3, 3, 4, 4, 4, 4, 4, 4, 5),
+    (3, 0.05): (1, 2, 2, 2, 3, 3, 3, 3, 3, 3, 4, 4, 4),
+    (3, 0.1): (1, 1, 2, 2, 2, 2, 3, 3, 3, 3, 3, 3, 4),
+    (3, 0.15): (1, 1, 2, 2, 2, 2, 2, 3, 3, 3, 3, 3, 3),
+    (3, 0.3): (0, 1, 1, 2, 2, 2, 2, 2, 2, 3, 3, 3, 3),
+    (3, 0.5): (0, 1, 1, 1, 1, 2, 2, 2, 2, 2, 2, 3, 3),
+}
+# (beta, d, eps, k) for every calibration the tests and the benchmark make
+_RECORDED_IN_USE = [
+    (0.0, 1, 0.1, 0), (0.0, 2, 0.3, 0), (1.0, 2, 0.5, 2), (1.0, 2, 0.15, 2),
+    (1.0, 2, 0.1, 3), (1.0, 2, 0.05, 3), (2.0, 1, 0.1, 3), (0.5, 1, 0.5, 1),
+    (0.5, 1, 0.1, 2), (0.7, 2, 0.15, 2), (0.7, 2, 0.1, 2), (0.8, 2, 0.15, 2),
+    (0.2, 1, 0.1, 2),
+]
+
+
+def _depth_cases():
+    for (d, eps), ks in _RECORDED_DEPTHS.items():
+        for beta, k in zip(_DEPTH_BETAS, ks):
+            yield beta, d, eps, k
+    yield from _RECORDED_IN_USE
+
+
+def test_calibrate_matching_xy_matches_recorded_depths():
+    cases = list(_depth_cases())
+    assert len(cases) == 234 + 13
+    for beta, d, eps, k in cases:
+        assert calibrate_matching_xy(beta, d, eps) == k, (beta, d, eps)
+
+
+def test_calibrated_depth_bounds_log_density_within_every_cell():
+    # the property the depth certifies: inside each digit cell the log
+    # density of the extremal laws (one omega or eta group holding all 2d
+    # neighbours, all singletons, one group per field) moves by at most
+    # -log(1 - eps); checked on 33 points per cell, both ends included
+    t = np.linspace(0.0, 1.0, 33)
+    for beta, d, eps, _ in _depth_cases():
+        k = calibrate_matching_xy(beta, d, eps)
+        if k > 3:
+            continue
+        xs = ((np.arange(10**k)[:, None] + t) / 10.0**k) * HALF_PI
+        cos_x, sin_x = np.cos(xs), np.sin(xs)
+        for cos_sums, sin_sums in (((2.0 * d,), ()), ((), (2.0 * d,)),
+                                   ((1.0,) * 2 * d, (1.0,) * 2 * d), ((d,), (d,))):
+            ys = [beta * s * cos_x for s in cos_sums] + [beta * s * sin_x for s in sin_sums]
+            logf = sum(np.logaddexp(y, -y) for y in ys)
+            spread = logf.max(axis=1) - logf.min(axis=1)
+            assert spread.max() <= -math.log1p(-eps) + 1e-12, (beta, d, eps, k)
 
 
 def _uncached_log_density(beta, cos_sums, sin_sums):
@@ -549,7 +620,7 @@ def test_angle_cdf_grid_within_stated_bound(beta, a_v):
     u, v = (0,), (1,)
     g = XyGraph(free=[u, v], edges=[(u, v)])
     tau = XyTriple(g, {u: 0.3, v: a_v}, {g.edges[0]: 0}, {g.edges[0]: 0}, beta=beta)
-    law = xy_angle_law(tau, u)
+    law = xy_angle_law(tau, u, _lane_groups(tau, u))
     fine = np.linspace(0.0, HALF_PI, 16 * (len(_XS) - 1) + 1)
     dens = xy_angle_density_oracle(g, {v: a_v}, u, beta, fine)
     step = fine[1] - fine[0]
