@@ -1,9 +1,10 @@
 """Scalar numeric kernels for the square well dynamics.
 
 Plain-Python floating point.  :func:`swm_draw` is the only SWM update:
-the engine (:mod:`exactspin.engine`) calls it for both lanes of every
-event, so coupled lanes that present the same neighbour mean execute
-identical IEEE operations and get bit-identical values.  The normal
+the engine (:mod:`exactspin.engine`) calls it once per lane, or once
+for both lanes when their neighbour sums are equal, since the draw is a
+pure function of its arguments; coupled lanes that present the same
+neighbour mean get bit-identical values either way.  The normal
 quantile is the standard library's ``NormalDist().inv_cdf``: Wichura's
 Algorithm AS 241 (Applied Statistics 37:477-484, 1988), accurate to
 about 1e-16.
@@ -32,30 +33,12 @@ def snap(x: float, grid: float) -> float:
     return math.floor(x * grid + 0.5) / grid
 
 
-def norm_cdf(z: float) -> float:
-    return 0.5 * math.erfc(-z * _INV_SQRT2)
-
-
 # defined on the open interval (0, 1); swm_draw clamps p into it
 norm_ppf = NormalDist().inv_cdf
 
-
-def cell_floor(x: float, tenk: float, w: float) -> float:
-    """Index c of the float-grid cell [c*w, (c+1)*w) containing x.
-
-    Returned as a float; corrected so the grid defined by the rounded
-    products c*w is honoured exactly.
-    """
-    c = math.floor(x * tenk)
-    while x < c * w:
-        c -= 1.0
-    while x >= (c + 1.0) * w:
-        c += 1.0
-    if c < -tenk:
-        c = -tenk
-    if c > tenk - 1.0:
-        c = tenk - 1.0
-    return c
+# module-level names for swm_draw's hot path
+_floor = math.floor
+_erfc = math.erfc
 
 
 def swm_draw(
@@ -75,14 +58,20 @@ def swm_draw(
     float-valued integer.  For a fixed randomness triple the map is
     monotone in m, and on the matching branch the value is a function
     of (cell, u_refine) alone.
+
+    The body is written out flat for speed: the mean and output
+    snapping, the normal CDF ``Phi(z) = 0.5 * erfc(-z / sqrt(2))`` and
+    the cell search are inline.  A negation is exact in IEEE arithmetic,
+    so ``Phi((x - m) / sig)`` is computed as
+    ``0.5 * erfc((m - x) / sig * _INV_SQRT2)``, the same bits.
     """
-    m = snap(m, MEAN_GRID)
+    m = _floor(m * MEAN_GRID + 0.5) / MEAN_GRID
     # stage 1: inverse-CDF grand coupling picks the digit cell
     if sig == 0.0:
         x1 = -1.0 + 2.0 * up
     else:
-        A = norm_cdf((-1.0 - m) / sig)
-        B = norm_cdf((1.0 - m) / sig)
+        A = 0.5 * _erfc((1.0 + m) / sig * _INV_SQRT2)
+        B = 0.5 * _erfc((m - 1.0) / sig * _INV_SQRT2)
         p = A + up * (B - A)
         if p < 1e-300:
             p = 1e-300
@@ -94,52 +83,69 @@ def swm_draw(
         elif x1 > 1.0:
             x1 = 1.0
 
-    c = cell_floor(x1, tenk, w)
+    # the float-grid cell [c*w, (c+1)*w) holding x1, honouring the
+    # rounded products c*w exactly
+    c = _floor(x1 * tenk)
+    while x1 < c * w:
+        c -= 1.0
+    while x1 >= (c + 1.0) * w:
+        c += 1.0
+    if c < -tenk:
+        c = -tenk
+    if c > tenk - 1.0:
+        c = tenk - 1.0
 
     # stage 2: matched refinement inside the cell
     if um >= eps:
-        v = snap((c + ur) * w, VALUE_GRID)
+        v = _floor((c + ur) * w * VALUE_GRID + 0.5) / VALUE_GRID
         if v > 1.0:
             v = 1.0
         elif v < -1.0:
             v = -1.0
         return v, c, True
 
+    # unmatched: bisect for the least x in the cell with g(x) >= u_refine
     a = c * w
     b = (c + 1.0) * w
+    width = b - a
+    keep = 1.0 - eps
+    inv_eps = 1.0 / eps
+    lo = a
+    hi = b
     if sig == 0.0:
-        fa = 0.0
-        span = 1.0
+        for _ in range(60):
+            # half a VALUE_GRID step: the snapped output is already fixed
+            if hi - lo <= 7.275957614183426e-12:
+                break
+            mid = 0.5 * (lo + hi)
+            if mid <= lo or mid >= hi:
+                break
+            x = mid - a
+            if (x / width - keep * x / width) * inv_eps >= ur:
+                hi = mid
+            else:
+                lo = mid
     else:
-        fa = norm_cdf((a - m) / sig)
-        fb = norm_cdf((b - m) / sig)
-        span = fb - fa
+        fa = 0.5 * _erfc((m - a) / sig * _INV_SQRT2)
+        span = 0.5 * _erfc((m - b) / sig * _INV_SQRT2) - fa
         if span <= 0.0:
             # cell so deep in the tail the normal CDF saturates; the
             # conditional is numerically flat there
-            v = snap(a + (b - a) * ur, VALUE_GRID)
+            v = _floor((a + width * ur) * VALUE_GRID + 0.5) / VALUE_GRID
             return v, c, False
-    lo = a
-    hi = b
-    inv_span = 1.0 / span
-    inv_eps = 1.0 / eps
-    for _ in range(60):
-        # half a VALUE_GRID step: the snapped output is already fixed
-        if hi - lo <= 7.275957614183426e-12:
-            break
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if sig == 0.0:
-            fcell = (mid - a) / (b - a)
-        else:
-            fcell = (norm_cdf((mid - m) / sig) - fa) * inv_span
-        g = (fcell - (1.0 - eps) * (mid - a) / (b - a)) * inv_eps
-        if g >= ur:
-            hi = mid
-        else:
-            lo = mid
-    v = snap(hi, VALUE_GRID)
+        inv_span = 1.0 / span
+        for _ in range(60):
+            if hi - lo <= 7.275957614183426e-12:
+                break
+            mid = 0.5 * (lo + hi)
+            if mid <= lo or mid >= hi:
+                break
+            fcell = (0.5 * _erfc((m - mid) / sig * _INV_SQRT2) - fa) * inv_span
+            if (fcell - keep * (mid - a) / width) * inv_eps >= ur:
+                hi = mid
+            else:
+                lo = mid
+    v = _floor(hi * VALUE_GRID + 0.5) / VALUE_GRID
     if v > 1.0:
         v = 1.0
     elif v < -1.0:

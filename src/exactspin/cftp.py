@@ -157,6 +157,13 @@ def _swm_pair_fields(lat: SwmLattice, top, bot) -> Tuple[SwmField, SwmField]:
             SwmField(dict(zip(lat.vertices, bot.tolist()))))
 
 
+@lru_cache(maxsize=32)
+def _region_lattice(region: BoxRegion) -> SwmLattice:
+    """The engine lattice of a region, built once and shared by every
+    doubling round, replica and decoupling check on it."""
+    return SwmLattice(region.vertices())
+
+
 def sandwich_run(
     window: WindowSpec, seed: int, origin: Optional[Vertex] = None
 ) -> SandwichPair:
@@ -167,7 +174,7 @@ def sandwich_run(
     indicator at that vertex after each of its updates.
     """
     if window.model == MODEL_SWM:
-        lat = SwmLattice(window.region.vertices())
+        lat = _region_lattice(window.region)
         bc_top = window.boundary if window.boundary is not None else 1.0
         bc_bot = window.boundary if window.boundary is not None else -1.0
         res = swm_sandwich(

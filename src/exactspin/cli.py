@@ -1,0 +1,70 @@
+"""The ``exactspin`` command line.
+
+    exactspin sample --model swm --d 2 --radius 7 --beta 0.32 --seed 1 --boundary 1
+
+or, without installing, ``python -m exactspin.cli sample ...``.
+``sample`` draws an exact sample at the centre of a box by CFTP
+doubling and prints ``CftpResult.to_json()`` on one line; the exit
+code is 1 when the window cap ``--t-max`` is reached first.
+"""
+
+from __future__ import annotations
+
+import argparse
+import math
+from typing import Optional, Sequence
+
+from .cftp import MODEL_SWM, MODEL_XY, cftp_sample
+from .lattice import build_box
+from .xy import BC_PLUS_I, BC_PLUS_ONE
+
+
+def _boundary(model: str, text: Optional[str]):
+    """The frozen boundary of ``--boundary``: a finite SWM spin value in
+    [-1, 1], or the XY label "+1" or "+i"; raises ValueError otherwise."""
+    if text is None:
+        return None
+    if model == MODEL_XY:
+        if text not in (BC_PLUS_ONE, BC_PLUS_I):
+            raise ValueError(f"XY takes {BC_PLUS_ONE} or {BC_PLUS_I}, got {text!r}")
+        return text
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValueError(f"not a number: {text!r}") from None
+    if not (math.isfinite(value) and -1.0 <= value <= 1.0):
+        raise ValueError(f"an SWM spin lies in [-1, 1], got {text!r}")
+    return value
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    ap = argparse.ArgumentParser(prog="exactspin",
+                                 description="Exact samples of lattice spin models.")
+    sub = ap.add_subparsers(dest="command", required=True)
+    sp = sub.add_parser("sample", help="exact sample at the centre of a box, as JSON")
+    sp.add_argument("--model", choices=(MODEL_SWM, MODEL_XY), default=MODEL_SWM)
+    sp.add_argument("--d", type=int, default=2, help="lattice dimension")
+    sp.add_argument("--radius", type=int, default=3, help="box radius")
+    sp.add_argument("--beta", type=float, required=True)
+    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--boundary", default=None,
+                    help=f"frozen boundary (SWM: a spin value in [-1, 1]; XY: "
+                         f"{BC_PLUS_ONE} or {BC_PLUS_I}); default: the extremal sandwich")
+    sp.add_argument("--t-max", type=float, default=None,
+                    help="longest window tried (default: cftp_sample's)")
+    args = ap.parse_args(argv)
+    try:
+        boundary = _boundary(args.model, args.boundary)
+    except ValueError as err:
+        sp.error(f"argument --boundary: {err}")
+    opts = {} if args.t_max is None else {"t_max": args.t_max}
+    res = cftp_sample(
+        build_box(args.d, args.radius), [(0,) * args.d], args.model, args.beta,
+        args.seed, boundary=boundary, **opts,
+    )
+    print(res.to_json())
+    return 1 if res.timed_out else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -20,7 +20,14 @@ from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tupl
 
 import numpy as np
 
-from .cftp import MODEL_SWM, MODEL_XY, check_params, required_digits, xy_sandwich_steps
+from .cftp import (
+    MODEL_SWM,
+    MODEL_XY,
+    _region_lattice,
+    check_params,
+    required_digits,
+    xy_sandwich_steps,
+)
 from .engine import SwmLattice, swm_sandwich
 from .lattice import (
     BoxRegion,
@@ -85,11 +92,6 @@ class CoarseParams:
     def cell_of_vertex(self, v: Tuple[int, ...]) -> Cell:
         x = tuple((vi + self.L // 2) // self.L for vi in v)
         return (0, x)
-
-
-@lru_cache(maxsize=32)
-def _centered_lattice(d: int, radius: int) -> SwmLattice:
-    return SwmLattice(build_box(d, radius).vertices())
 
 
 @lru_cache(maxsize=32)
@@ -383,7 +385,7 @@ def decoupling_check(
             max(abs(a - c) for a, c in zip(w, center)) for w in ls.vertices
         )
         radius = reach + 2 * params.L + 1
-        lat = _centered_lattice(params.d, radius)
+        lat = _region_lattice(build_box(params.d, radius))
         j_min = min((j for (j, _) in ls.shield), default=0)
         T = params.L * (1 - j_min) + params.n_L
 

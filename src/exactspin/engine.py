@@ -9,8 +9,10 @@ lanes and the neighbour table are Python lists and each chunk's sorted
 events are converted to Python values a slice at a time.  Each update
 sums the site's neighbours inline and hands their mean to
 :func:`exactspin._scalar.swm_draw`, the one SWM update, so the kernel
-only ever sees Python floats.  The run's final lanes are returned as
-arrays.
+only ever sees Python floats; when the two lanes' sums agree, one draw
+serves both.  Per-site stream keys come from one array hash,
+:func:`exactspin.randomness.vertex_keys`.  The run's final lanes are
+returned as arrays.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 
 from . import _scalar
 from .lattice import Vertex, neighbors
-from .randomness import block_events, check_window, vertex_key, window_blocks
+from .randomness import block_events, check_window, vertex_keys, window_blocks
 
 
 # the generation layer, under its own name so it can be timed apart
@@ -53,7 +55,10 @@ def _swm_chunk(lattice, top, bot, events, bsum_t, bsum_b, law, core, neq, check,
     """Step both lanes in place through one chunk of time-ordered events.
 
     ``events`` yields (time, site, u_primary, u_refine, u_match) and
-    ``law`` is (sig, tenk, w, eps, 1/degree).  Returns the number of
+    ``law`` is (sig, tenk, w, eps, 1/degree).  An event whose lanes have
+    equal neighbour sums takes one draw for both, since the draw is a
+    pure function of its arguments; otherwise each lane takes its own
+    draw and the pair is checked for order.  Returns the number of
     ``core`` sites where the lanes differ.  With ``check`` set the chunk
     stops at the first event that leaves the core split, so a nonzero
     return then means an early exit.  The update times at site
@@ -68,12 +73,16 @@ def _swm_chunk(lattice, top, bot, events, bsum_t, bsum_b, law, core, neq, check,
         for nj in nbrs[vi]:
             st += top[nj]
             sb += bot[nj]
-        vt = _swm_draw(st * inv_deg, sig, tenk, w, eps, up, ur, um)[0]
-        vb = _swm_draw(sb * inv_deg, sig, tenk, w, eps, up, ur, um)[0]
-        if vt < vb:
-            raise MonotonicityError(
-                f"sandwich order violated at site {lattice.vertices[vi]}, time {t}"
-            )
+        if st == sb:
+            # equal sums give the lanes the same arguments: one draw
+            vt = vb = _swm_draw(st * inv_deg, sig, tenk, w, eps, up, ur, um)[0]
+        else:
+            vt = _swm_draw(st * inv_deg, sig, tenk, w, eps, up, ur, um)[0]
+            vb = _swm_draw(sb * inv_deg, sig, tenk, w, eps, up, ur, um)[0]
+            if vt < vb:
+                raise MonotonicityError(
+                    f"sandwich order violated at site {lattice.vertices[vi]}, time {t}"
+                )
         if core[vi]:
             neq += (vt != vb) - (top[vi] != bot[vi])
         top[vi] = vt
@@ -94,6 +103,7 @@ class SwmLattice:
             raise ValueError("empty vertex set")
         self.d = len(self.vertices[0])
         self.index: Dict[Vertex, int] = {v: i for i, v in enumerate(self.vertices)}
+        self.coords = np.array(self.vertices, np.int64)
         # in-box neighbour indices and out-of-box neighbours, each in
         # ``neighbors`` order, which fixes the order of the update's sums
         self.nbrs: List[Tuple[int, ...]] = []
@@ -124,13 +134,14 @@ class SwmLattice:
     ) -> List[int]:
         """Per-site stream keys; ``offset`` shifts every vertex, letting a
         centered lattice stand in for a translate of itself."""
-        out = []
-        for v in self.vertices:
-            if offset is not None:
-                v = tuple(a + b for a, b in zip(v, offset))
-            master = seed if reseed is None else reseed.get(v, seed)
-            out.append(vertex_key(master, v))
-        return out
+        coords = self.coords
+        if offset is not None:
+            coords = coords + np.array(offset, np.int64)
+        if reseed is None:
+            masters = [seed] * self.size
+        else:
+            masters = [reseed.get(v, seed) for v in map(tuple, coords.tolist())]
+        return vertex_keys(masters, coords)
 
     def mask(self, predicate) -> np.ndarray:
         return np.array([bool(predicate(v)) for v in self.vertices], dtype=np.bool_)

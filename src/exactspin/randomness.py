@@ -11,8 +11,9 @@ exactly the time-restriction of the larger stream.
 (site x block) grid with numpy uint64 array operations and returns
 numpy arrays; the engine sorts and steps through them and
 ``event_stream`` wraps the same events in ``UpdateEvent`` objects
-holding Python values.  The scalar ``mix64`` serves single keys only:
-vertex keys, edge uniforms and derived seeds.
+holding Python values.  ``vertex_keys`` hashes a whole site list the
+same way.  The scalar ``mix64`` serves single keys only: single vertex
+keys, edge uniforms and derived seeds.
 """
 
 from __future__ import annotations
@@ -77,6 +78,16 @@ def vertex_key(master: int, vertex: Vertex) -> int:
     for c in vertex:
         h = mix64(h ^ (c & _MASK))
     return h
+
+
+def vertex_keys(masters: Sequence[int], coords) -> List[int]:
+    """``vertex_key(masters[i], coords[i])`` for every row of the (S x d)
+    integer array ``coords``, as one array hash; returns Python ints."""
+    h = _mix(np.array([m & _MASK for m in masters], np.uint64))
+    for col in np.asarray(coords, np.int64).T:
+        h ^= col.view(np.uint64)
+        _mix(h)
+    return h.tolist()
 
 
 def _poisson_cdf() -> np.ndarray:
@@ -226,9 +237,8 @@ def event_stream(
     """
     check_window(t_start, t_end)
     verts = region.vertices() if isinstance(region, BoxRegion) else list(region)
-    vkeys = [
-        vertex_key(seed if reseed is None else reseed.get(v, seed), v) for v in verts
-    ]
+    masters = [seed] * len(verts) if reseed is None else [reseed.get(v, seed) for v in verts]
+    vkeys = vertex_keys(masters, verts)
     arrays = block_events(vkeys, *window_blocks(t_start, t_end), t_start, t_end)
     order = np.argsort(arrays[0], kind="stable")
     times, sidx, keys, up, ur, um = (a[order].tolist() for a in arrays)

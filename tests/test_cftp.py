@@ -230,6 +230,30 @@ def test_coupling_probability_monotone_in_time():
         assert b.probability <= a.probability + 3 * (a.stderr + b.stderr)
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_nested_box_sandwich_lies_inside_smaller_box_sandwich(d):
+    # events are keyed per vertex, so on one seed the radius-4 run sees
+    # the radius-3 run's events plus its own shell's; inside the radius-3
+    # box its lanes start within [-1, 1] where the smaller run freezes
+    # +-1, and the monotone update keeps them between the smaller run's
+    # lanes at every site: NC(4, t) is contained in NC(3, t) pathwise
+    small, large = build_box(d, 3), build_box(d, 4)
+    w_small = auto_window(small, -8.0, 0.0, MODEL_SWM, 0.32)
+    w_large = auto_window(large, -8.0, 0.0, MODEL_SWM, 0.32)
+    origin = (0,) * d
+    coupled = [0, 0]
+    for seed in range(400):
+        p3 = sandwich_run(w_small, seed)
+        p4 = sandwich_run(w_large, seed)
+        for v in small.vertices():
+            assert p4.top.values[v] <= p3.top.values[v], (seed, v)
+            assert p4.bot.values[v] >= p3.bot.values[v], (seed, v)
+        coupled[0] += p3.coalesced(origin)
+        coupled[1] += p4.coalesced(origin)
+        assert p4.coalesced(origin) or not p3.coalesced(origin)
+    assert 0 < coupled[0] < coupled[1]
+
+
 def test_truncated_coupling_is_easier():
     for t in (2.0, 6.0):
         full = coupling_probability(

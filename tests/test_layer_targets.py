@@ -35,6 +35,38 @@ def test_layer_target_is_bound(mod_name, attr):
     assert name in vars(owner)
 
 
+def _two_draw_chunk(shared):
+    """``engine._swm_chunk`` as it was before lanes with equal neighbour
+    sums shared a draw: two ``engine._swm_draw`` calls per event.  Adds
+    the events whose lane sums agree to ``shared[0]``."""
+
+    def chunk(lattice, top, bot, events, bsum_t, bsum_b, law, core, neq, check,
+              origin_idx, records):
+        nbrs = lattice.nbrs
+        sig, tenk, w, eps, inv_deg = law
+        for t, vi, up, ur, um in events:
+            st = bsum_t[vi]
+            sb = bsum_b[vi]
+            for nj in nbrs[vi]:
+                st += top[nj]
+                sb += bot[nj]
+            shared[0] += st == sb
+            vt = engine._swm_draw(st * inv_deg, sig, tenk, w, eps, up, ur, um)[0]
+            vb = engine._swm_draw(sb * inv_deg, sig, tenk, w, eps, up, ur, um)[0]
+            assert vt >= vb
+            if core[vi]:
+                neq += (vt != vb) - (top[vi] != bot[vi])
+            top[vi] = vt
+            bot[vi] = vb
+            if check and neq:
+                return neq
+            if vi == origin_idx:
+                records.append((t, 1 if vt == vb else 0))
+        return neq
+
+    return chunk
+
+
 def test_traced_engine_attributes_are_called(monkeypatch):
     calls = {"_gen_events": 0, "_swm_chunk": 0}
     draw_args = []
@@ -57,24 +89,46 @@ def test_traced_engine_attributes_are_called(monkeypatch):
     monkeypatch.setattr(engine, "_gen_events", counting("_gen_events"))
     monkeypatch.setattr(engine, "_swm_chunk", counting("_swm_chunk"))
     monkeypatch.setattr(engine, "_swm_draw", counting_draw)
+
+    shared_total = [0]
+
+    def check_draws(run):
+        # one draw per lane, except one for both lanes where their sums
+        # agree: the two-draw replay counts those events and must end on
+        # the same lanes, bit for bit
+        draw_args.clear()
+        res = run()
+        draws = len(draw_args)
+        # the kernel runs as plain Python: numpy scalars would slow every draw
+        assert all(type(x) is float for args in draw_args for x in args)
+        shared = [0]
+        draw_args.clear()
+        with monkeypatch.context() as m:
+            m.setattr(engine, "_swm_chunk", _two_draw_chunk(shared))
+            ref = run()
+        assert len(draw_args) == 2 * ref.event_count
+        assert (ref.event_count, ref.mixed_ok) == (res.event_count, res.mixed_ok)
+        assert ref.top.tobytes() == res.top.tobytes()
+        assert ref.bot.tobytes() == res.bot.tobytes()
+        assert draws == 2 * res.event_count - shared[0]
+        shared_total[0] += shared[0]
+        return res
+
     lat = engine.SwmLattice(build_box(2, 2).vertices())
-    res = engine.swm_sandwich(lat, 0.5, 2, 0.15, -4.0, 0.0, seed=3)
+    res = check_draws(lambda: engine.swm_sandwich(lat, 0.5, 2, 0.15, -4.0, 0.0, seed=3))
     assert calls["_gen_events"] >= 1 and calls["_swm_chunk"] >= 1
     assert res.event_count > 0
-    assert len(draw_args) == 2 * res.event_count
-    # the kernel runs as plain Python: numpy scalars would slow every draw
-    assert all(type(x) is float for args in draw_args for x in args)
     # monitored runs count only the events they processed: seed 17 exits
     # with the core split at slab entry, seed 30 at its fourth in-slab
     # event, seed 18 runs through the slab
     lat = engine.SwmLattice(build_box(2, 4).vertices())
     core = lat.mask(lambda v: max(abs(c) for c in v) < 2)
     for seed, mixed in ((17, False), (30, False), (18, True)):
-        draw_args.clear()
-        res = engine.swm_sandwich(lat, 0.05, 1, 0.1, -12.0, -2.0, seed=seed,
-                                  core_mask=core, slab_lo=-4.0, offset=(8, -4))
+        res = check_draws(lambda: engine.swm_sandwich(
+            lat, 0.05, 1, 0.1, -12.0, -2.0, seed=seed,
+            core_mask=core, slab_lo=-4.0, offset=(8, -4)))
         assert res.mixed_ok is mixed
-        assert len(draw_args) == 2 * res.event_count
+    assert shared_total[0] > 0  # 96 of the 1,311 events here
 
 
 def test_traced_xy_attributes_are_called(monkeypatch):

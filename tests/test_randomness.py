@@ -15,8 +15,10 @@ from exactspin.randomness import (
     mix64,
     monotone_inverse,
     vertex_key,
+    vertex_keys,
     window_blocks,
 )
+from exactspin.engine import SwmLattice
 
 from keyed import keyed_randomness, ref_unit
 
@@ -112,6 +114,35 @@ def _ref_block_events(vkeys, first_block, last_block, t_start, t_end):
 def _exact(rows):
     """Rows of floats and ints, floats as float.hex, so == is bitwise."""
     return [tuple(x.hex() if isinstance(x, float) else x for x in r) for r in rows]
+
+
+def test_vertex_keys_match_scalar_vertex_key():
+    # the array hash returns vertex_key's Python ints for negative
+    # coordinates, coordinates beyond 2^31 and masters at or above 2^63
+    rng = random.Random(8)
+    for d in (1, 2, 3):
+        verts = [tuple(rng.randrange(-(2**40), 2**40) for _ in range(d)) for _ in range(60)]
+        verts += [(-1,) * d, (0,) * d, (-(2**62),) * d]
+        masters = [rng.choice([0, 7, (1 << 63) + rng.getrandbits(63), (1 << 64) - 1,
+                               rng.getrandbits(64)]) for _ in verts]
+        keys = vertex_keys(masters, np.array(verts, np.int64))
+        assert keys == [vertex_key(m, v) for m, v in zip(masters, verts)]
+        assert all(type(x) is int for x in keys)
+    assert vertex_keys([], []) == []
+
+
+@pytest.mark.parametrize("offset", [None, (5, -3), (-40, -(2**33))])
+def test_lattice_vkeys_match_scalar_vertex_key(offset):
+    # per-site keys of a translated lattice, with a reseed map over the
+    # shifted vertices, as the scalar per-vertex loop computes them
+    lat = SwmLattice(build_box(2, 3).vertices())
+    seed = (1 << 63) + 12345
+    shifted = [v if offset is None else (v[0] + offset[0], v[1] + offset[1])
+               for v in lat.vertices]
+    reseed = {shifted[0]: 3, shifted[17]: (1 << 64) - 5, (999, 999): 1}
+    for rs in (None, reseed):
+        want = [vertex_key(seed if rs is None else rs.get(v, seed), v) for v in shifted]
+        assert lat.vkeys(seed, rs, offset=offset) == want
 
 
 def test_array_mix_matches_mix64():

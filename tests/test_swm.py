@@ -6,11 +6,141 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from exactspin._scalar import VALUE_GRID, norm_cdf, norm_ppf, snap, swm_draw
+from exactspin._scalar import MEAN_GRID, VALUE_GRID, norm_ppf, snap, swm_draw
 from exactspin.randomness import mix64
 from exactspin.swm import calibrate_matching
 
 from keyed import keyed_randomness
+
+
+def norm_cdf(z):
+    return 0.5 * math.erfc(-z * 0.7071067811865476)
+
+
+def _cell_floor(x, tenk, w):
+    c = math.floor(x * tenk)
+    while x < c * w:
+        c -= 1.0
+    while x >= (c + 1.0) * w:
+        c += 1.0
+    if c < -tenk:
+        c = -tenk
+    if c > tenk - 1.0:
+        c = tenk - 1.0
+    return c
+
+
+def _swm_draw_before(m, sig, tenk, w, eps, up, ur, um, seen):
+    """``swm_draw`` as it was written before its body was flattened, with
+    ``snap``, ``norm_cdf`` and the cell search as calls and the
+    ``sig == 0`` test inside the bisection.  The oracle for the kernel's
+    bits; ``seen`` collects the paths each draw took."""
+    m = snap(m, MEAN_GRID)
+    if sig == 0.0:
+        seen.add("flat law")
+        x1 = -1.0 + 2.0 * up
+    else:
+        A = norm_cdf((-1.0 - m) / sig)
+        B = norm_cdf((1.0 - m) / sig)
+        p = A + up * (B - A)
+        if p < 1e-300:
+            seen.add("p clamped up")
+            p = 1e-300
+        elif p > 1.0 - 1e-16:
+            seen.add("p clamped down")
+            p = 1.0 - 1e-16
+        x1 = m + sig * norm_ppf(p)
+        if x1 < -1.0:
+            x1 = -1.0
+        elif x1 > 1.0:
+            x1 = 1.0
+
+    c = _cell_floor(x1, tenk, w)
+
+    if um >= eps:
+        seen.add("matched")
+        v = snap((c + ur) * w, VALUE_GRID)
+        if v > 1.0:
+            v = 1.0
+        elif v < -1.0:
+            v = -1.0
+        return v, c, True
+
+    seen.add("unmatched")
+    a = c * w
+    b = (c + 1.0) * w
+    if sig == 0.0:
+        fa = 0.0
+        span = 1.0
+    else:
+        fa = norm_cdf((a - m) / sig)
+        fb = norm_cdf((b - m) / sig)
+        span = fb - fa
+        if span <= 0.0:
+            seen.add("saturated cell")
+            v = snap(a + (b - a) * ur, VALUE_GRID)
+            return v, c, False
+    lo = a
+    hi = b
+    inv_span = 1.0 / span
+    inv_eps = 1.0 / eps
+    for _ in range(60):
+        if hi - lo <= 7.275957614183426e-12:
+            break
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if sig == 0.0:
+            fcell = (mid - a) / (b - a)
+        else:
+            fcell = (norm_cdf((mid - m) / sig) - fa) * inv_span
+        g = (fcell - (1.0 - eps) * (mid - a) / (b - a)) * inv_eps
+        if g >= ur:
+            hi = mid
+        else:
+            lo = mid
+    v = snap(hi, VALUE_GRID)
+    if v > 1.0:
+        v = 1.0
+    elif v < -1.0:
+        v = -1.0
+    return v, c, False
+
+
+def _oracle_cases(n, rng):
+    """n argument tuples for swm_draw: k = 0..4, flat and steep laws,
+    means at and inside the spin range, eps near 0 and near 1, and
+    uniforms at the ends of (0, 1] and at 0, which push p into both
+    clamps."""
+    tiny = 0.5 / (1 << 53)  # the smallest unit value of the streams
+    for i in range(n):
+        k = i % 5
+        beta = rng.choice([0.0, 0.0, 0.01, 0.32, 1.0, 5.0, 50.0, 1000.0])
+        degree = rng.choice([2, 4, 6])
+        sig = 0.0 if beta == 0.0 else 1.0 / math.sqrt(2.0 * beta * degree)
+        m = rng.choice([rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0),
+                        -1.0, 1.0, -0.0, rng.uniform(0.9, 1.0) * rng.choice([-1, 1])])
+        eps = rng.choice([rng.random(), 0.1, 1e-12, 1e-6, 1.0 - 1e-6, 1.0 - 1e-12])
+        up = rng.choice([rng.random(), rng.random(), 0.0, tiny, 1.0, 1.0 - 2**-53])
+        ur = rng.choice([rng.random(), rng.random(), tiny, 1.0])
+        um = eps * rng.random() if rng.random() < 0.5 else rng.uniform(eps, 1.0)
+        yield m, sig, float(10**k), 10.0**-k, eps, up, ur, um
+
+
+def test_swm_draw_matches_pre_flattening_oracle_bit_for_bit():
+    # the flattened kernel repeats the former body's IEEE operations:
+    # value and cell compare by float.hex, on every path of the draw
+    seen = set()
+    n = 0
+    for args in _oracle_cases(100_000, random.Random(2024)):
+        v, c, matched = swm_draw(*args)
+        v0, c0, matched0 = _swm_draw_before(*args, seen)
+        assert (v.hex(), float(c).hex(), type(c), matched) == (
+            v0.hex(), float(c0).hex(), type(c0), matched0), args
+        n += 1
+    assert n == 100_000
+    assert seen == {"flat law", "p clamped up", "p clamped down", "matched",
+                    "unmatched", "saturated cell"}
 
 
 def _draw(mean, beta, k, eps, iota):
