@@ -30,11 +30,12 @@ MODEL_XY = "xy"
 
 @lru_cache(maxsize=None)
 def required_digits(model: str, beta: float, d: int, eps: float) -> int:
+    """The calibrated digit depth; parameters are checked first, so no
+    calibration runs on a beta or eps that :func:`check_params` rejects."""
+    check_params(model, beta, d, eps, None)
     if model == MODEL_SWM:
         return swm_mod.calibrate_matching(beta, d, eps)
-    if model == MODEL_XY:
-        return xy_mod.calibrate_matching_xy(beta, d, eps)
-    raise ValueError(f"unknown model {model!r}")
+    return xy_mod.calibrate_matching_xy(beta, d, eps)
 
 
 def check_params(model: str, beta: float, d: int, eps: float, k: Optional[int]) -> None:
@@ -46,8 +47,8 @@ def check_params(model: str, beta: float, d: int, eps: float, k: Optional[int]) 
     """
     if model not in (MODEL_SWM, MODEL_XY):
         raise ValueError(f"unknown model {model!r}")
-    if beta < 0.0:
-        raise ValueError("beta must be >= 0")
+    if not (math.isfinite(beta) and beta >= 0.0):
+        raise ValueError(f"beta must be finite and >= 0, got {beta!r}")
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must lie in (0, 1)")
     if k is None:

@@ -19,6 +19,26 @@ from .lattice import build_box
 from .xy import BC_PLUS_I, BC_PLUS_ONE
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text!r}")
+    return value
+
+
+def _beta(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
+    return value
+
+
 def _boundary(model: str, text: Optional[str]):
     """The frozen boundary of ``--boundary``: a finite SWM spin value in
     [-1, 1], or the XY label "+1" or "+i"; raises ValueError otherwise."""
@@ -43,9 +63,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     sub = ap.add_subparsers(dest="command", required=True)
     sp = sub.add_parser("sample", help="exact sample at the centre of a box, as JSON")
     sp.add_argument("--model", choices=(MODEL_SWM, MODEL_XY), default=MODEL_SWM)
-    sp.add_argument("--d", type=int, default=2, help="lattice dimension")
-    sp.add_argument("--radius", type=int, default=3, help="box radius")
-    sp.add_argument("--beta", type=float, required=True)
+    sp.add_argument("--d", type=_positive_int, default=2, help="lattice dimension")
+    sp.add_argument("--radius", type=_positive_int, default=3, help="box radius")
+    sp.add_argument("--beta", type=_beta, required=True, help="inverse temperature, finite and >= 0")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--boundary", default=None,
                     help=f"frozen boundary (SWM: a spin value in [-1, 1]; XY: "

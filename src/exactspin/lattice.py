@@ -3,8 +3,7 @@
 Vertices are integer tuples.  A box of radius n around a center c is the
 open cube (c - n, c + n)^d intersected with Z^d, so it holds (2n-1)^d
 sites.  The cluster passes here run on the coarse space-time grid of
-cells used by the coarse-graining layer; percolation components on the
-fine lattice live with the XY model (``xy.percolation_components``).
+cells used by the coarse-graining layer.
 """
 
 from __future__ import annotations
@@ -55,25 +54,9 @@ class BoxRegion:
     def contains(self, v: Vertex) -> bool:
         return all(abs(v[i] - self.center[i]) < self.n for i in range(self.d))
 
-    def _ranges(self) -> List[range]:
-        return [range(c - self.n + 1, c + self.n) for c in self.center]
-
     def vertices(self) -> List[Vertex]:
-        return list(itertools.product(*self._ranges()))
-
-    def exterior_boundary(self) -> List[Vertex]:
-        """Sites outside the box adjacent to at least one inside site.
-
-        These are the box's 2d faces pushed one step out: on face
-        (i, side) coordinate i is center_i +- n and every other
-        coordinate ranges over the box.  Faces share no site.
-        """
-        ranges = self._ranges()
-        out: List[Vertex] = []
-        for i, c in enumerate(self.center):
-            for side in (c - self.n, c + self.n):
-                out.extend(itertools.product(*ranges[:i], (side,), *ranges[i + 1:]))
-        return sorted(out)
+        ranges = [range(c - self.n + 1, c + self.n) for c in self.center]
+        return list(itertools.product(*ranges))
 
 
 def build_box(d: int, n: int, center: Vertex | None = None) -> BoxRegion:

@@ -2,9 +2,10 @@
 
 A configuration is a triple (alpha, omega, eta): angles in [0, pi/2]
 per vertex plus two edge percolations.  The partial order is
-alpha <= alpha', omega >= omega', eta <= eta' componentwise; spins are
-recovered as sigma = xi*cos(alpha) + i*zeta*sin(alpha) with sign coins
-per percolation component.
+alpha <= alpha', omega >= omega', eta <= eta' componentwise.  Spins
+are sigma = xi*cos(alpha) + i*zeta*sin(alpha) with sign coins per
+percolation component; no sampler output reports sigma yet, so that
+reconstruction is a test reference (``tests/oracle.py``).
 
 A single-site update resamples the angle from its conditional density
 (a product of cosh terms over the omega- and eta-connectivity groups
@@ -27,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -170,15 +171,6 @@ def xy_extremes(graph: XyGraph, beta: float, bc: Optional[str] = None) -> Tuple[
     return lo, hi
 
 
-def xy_leq(a: XyTriple, b: XyTriple) -> bool:
-    """The partial order: alpha <=, omega >=, eta <= componentwise."""
-    return (
-        all(a.alpha[n] <= b.alpha[n] for n in a.graph.nodes)
-        and all(a.omega[e] >= b.omega[e] for e in a.graph.edges)
-        and all(a.eta[e] <= b.eta[e] for e in a.graph.edges)
-    )
-
-
 # ---------------------------------------------------------------------------
 # Neighbour connectivity groups
 # ---------------------------------------------------------------------------
@@ -271,9 +263,6 @@ class AngleLawHandle:
     sin_sums: Tuple[float, ...]
     beta: float
     _cdf_grid: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
-
-    def log_density_grid(self) -> np.ndarray:
-        return _log_density(self.beta, self.cos_sums, self.sin_sums)
 
     def cdf_grid(self) -> np.ndarray:
         if self._cdf_grid is None:
@@ -483,114 +472,6 @@ def xy_full_update(
     tau.omega.update(om)
     tau.eta.update(et)
     return tau
-
-
-def almost_markov_support(tau: XyTriple, u) -> Tuple[Set, Set]:
-    """Vertices and edges the update at u may read.
-
-    N(u) plus the omega- and eta-clusters of the neighbours in the
-    graph without u; the edge set contains the incident edges of every
-    explored vertex (their states determine the clusters).
-    """
-    graph = tau.graph
-    verts: Set = set(graph.neighbors_of(u))
-    for bond in (tau.omega, tau.eta):
-        for t in graph.neighbors_of(u):
-            if graph.is_frozen[t]:
-                continue
-            stack = [t]
-            comp = {t}
-            while stack:
-                cur = stack.pop()
-                for e in graph.incident[cur]:
-                    other = graph.other(e, cur)
-                    if other == u or other in comp or not bond.get(e, 0):
-                        continue
-                    comp.add(other)
-                    if not graph.is_frozen[other]:
-                        stack.append(other)
-            verts |= comp
-    edges: Set = set()
-    for v in verts:
-        for e in graph.incident[v]:
-            if u not in e:
-                edges.add(e)
-    return verts, edges
-
-
-# ---------------------------------------------------------------------------
-# Spin reconstruction
-# ---------------------------------------------------------------------------
-
-
-def percolation_components(graph: XyGraph, bond: Mapping[Tuple, int]) -> List[FrozenSet]:
-    """Components of (nodes, open bond edges); frozen nodes do transit
-    here because reconstruction needs the true percolation clusters."""
-    seen: Set = set()
-    comps: List[FrozenSet] = []
-    for n in graph.nodes:
-        if n in seen:
-            continue
-        comp = {n}
-        stack = [n]
-        while stack:
-            cur = stack.pop()
-            for e in graph.incident[cur]:
-                other = graph.other(e, cur)
-                if other in comp or not bond.get(e, 0):
-                    continue
-                comp.add(other)
-                stack.append(other)
-        seen |= comp
-        comps.append(frozenset(comp))
-    return comps
-
-
-def component_representative(comp: FrozenSet):
-    return min(comp, key=_node_key)
-
-
-def xy_reconstruct_spins(
-    tau: XyTriple,
-    omega_coins: Mapping,
-    eta_coins: Mapping,
-) -> Dict[object, complex]:
-    """sigma = xi*cos(alpha) + i*zeta*sin(alpha) with component coins.
-
-    Coins are +-1 mappings keyed by the component representative (its
-    minimal node).  A component containing a frozen node whose
-    coordinate is active (cos for omega, sin for eta) has its sign
-    forced to +1 by the boundary condition.
-    """
-    out: Dict[object, complex] = {}
-    signs: Dict[object, Tuple[float, float]] = {n: [0.0, 0.0] for n in tau.graph.nodes}
-    for which, bond, coins in (
-        (0, tau.omega, omega_coins),
-        (1, tau.eta, eta_coins),
-    ):
-        for comp in percolation_components(tau.graph, bond):
-            rep = component_representative(comp)
-            forced = False
-            for n in comp:
-                if tau.graph.is_frozen[n]:
-                    coord = (
-                        math.cos(tau.alpha[n]) if which == 0 else math.sin(tau.alpha[n])
-                    )
-                    if abs(coord) > 1e-12:
-                        forced = True
-                        break
-            if forced:
-                coin = 1
-            else:
-                coin = coins[rep]
-                if coin not in (-1, 1):
-                    raise ValueError("coins must be +-1")
-            for n in comp:
-                signs[n][which] = float(coin)
-    for n in tau.graph.nodes:
-        xi, zeta = signs[n]
-        out[n] = xi * math.cos(tau.alpha[n]) + 1j * zeta * math.sin(tau.alpha[n])
-    return out
 
 
 def calibrate_matching_xy(beta: float, d: int, eps: float) -> int:

@@ -1,17 +1,28 @@
-"""Independent exact and brute-force references for the sampler tests.
+"""Independent exact and brute-force references for the tests.
 
 Nothing here shares code with the dynamics modules, so agreement with
-a sampler is evidence, not tautology.  Each oracle and the sampler
-test that compares against it (the first two in ``tests/test_cftp.py``,
-the rest in ``tests/test_xy.py``):
+a sampler is evidence, not tautology.  Each reference and the tests
+that compare against it:
 
 - ``quadrature_cdf``: ``test_cftp_single_vertex_matches_quadrature``;
 - ``rejection_sample``: ``test_cftp_3x3_mean_matches_rejection_oracle``;
 - ``enumerate_xy``: ``test_edge_update_two_vertex_marginal`` and
   ``test_edge_update_star_joint_matches_enumeration``;
-- ``xy_angle_density_oracle``: ``test_angle_law_matches_enumeration_oracle``
-  and ``test_angle_update_distribution_matches_oracle``;
-- ``xy_two_vertex_expectation``: ``test_two_vertex_spin_law_matches_xy_model``.
+- ``xy_angle_density_oracle``: ``test_angle_law_matches_enumeration_oracle``,
+  ``test_angle_update_distribution_matches_oracle`` and
+  ``test_angle_cdf_grid_within_stated_bound``;
+- ``xy_two_vertex_expectation`` with ``xy_reconstruct_spins``:
+  ``test_two_vertex_spin_law_matches_xy_model``;
+- ``xy_leq``: the XY sandwich-order tests in ``test_cftp.py`` and
+  ``test_xy.py``;
+- ``almost_markov_support``:
+  ``test_almost_markov_update_insensitive_outside_support``;
+- ``exterior_boundary``: the boundary maps of ``test_engine.py`` and
+  ``test_golden.py``, whose ``mapping_boundary`` digest walks its order.
+
+The first two are in ``test_cftp.py``, the XY ones in ``test_xy.py``;
+``test_oracle.py`` and ``test_lattice.py`` check the references
+themselves.
 """
 
 from __future__ import annotations
@@ -19,12 +30,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Sequence, Set, Tuple
 
 import numpy as np
 
-from .lattice import BoxRegion, Vertex, neighbors
-from .xy import XyGraph
+from exactspin.lattice import BoxRegion, Vertex, neighbors
+from exactspin.xy import XyGraph, XyTriple, _node_key
 
 _REJECTION_BATCH = 200000  # uniform proposals per accept/reject round
 _XY_PAIR_ORDER = 96  # Gauss-Legendre nodes per angle, two-vertex XY law
@@ -157,6 +168,7 @@ class XyExactLaw:
         i = self.edges.index(edge)
         return sum(p for cfg, p in self.eta_probs.items() if cfg[i])
 
+
 def _component_count(graph: XyGraph, open_edges: Sequence[int], edges: List[Tuple]) -> int:
     parent = {n: n for n in graph.nodes}
 
@@ -176,32 +188,41 @@ def _component_count(graph: XyGraph, open_edges: Sequence[int], edges: List[Tupl
     return count
 
 
+def _fk_weights(graph: XyGraph, edges: List[Tuple], alpha: Mapping, beta: float,
+                kind: str) -> Dict[Tuple[int, ...], float]:
+    """Unnormalised weight of every open/closed configuration of one field.
+
+    2^{components} prod p_e over open, (1 - p_e) over closed, with
+    p = 1 - exp(-2 beta cos cos) for omega and the sine analogue for
+    eta; configurations in ``itertools.product`` order.
+    """
+    trig = math.cos if kind == "omega" else math.sin
+    ps = []
+    for (a, b) in edges:
+        x = beta * trig(alpha[a]) * trig(alpha[b])
+        ps.append(-math.expm1(-2.0 * x))
+    weights: Dict[Tuple[int, ...], float] = {}
+    for cfg in itertools.product((0, 1), repeat=len(edges)):
+        w = 1.0
+        for bit, p in zip(cfg, ps):
+            w *= p if bit else (1.0 - p)
+        w *= 2.0 ** _component_count(graph, cfg, edges)
+        weights[cfg] = w
+    return weights
+
+
 def enumerate_xy(graph: XyGraph, alpha: Mapping, beta: float) -> XyExactLaw:
     """Sum the conditional density over all (omega, eta) given alpha.
 
-    Weights per field: 2^{components} prod p_e over open, (1 - p_e)
-    over closed, with p = 1 - exp(-2 beta cos cos) for omega and the
-    sine analogue for eta.  Exact for up to 12 edges.
+    Each field's law is its normalised ``_fk_weights``.  Exact for up
+    to 12 edges.
     """
     edges = list(graph.edges)
     if len(edges) > 12:
         raise ValueError("enumeration limited to 12 edges")
     out = {}
     for kind in ("omega", "eta"):
-        ps = []
-        for (a, b) in edges:
-            if kind == "omega":
-                x = beta * math.cos(alpha[a]) * math.cos(alpha[b])
-            else:
-                x = beta * math.sin(alpha[a]) * math.sin(alpha[b])
-            ps.append(-math.expm1(-2.0 * x))
-        weights: Dict[Tuple[int, ...], float] = {}
-        for cfg in itertools.product((0, 1), repeat=len(edges)):
-            w = 1.0
-            for bit, p in zip(cfg, ps):
-                w *= p if bit else (1.0 - p)
-            w *= 2.0 ** _component_count(graph, cfg, edges)
-            weights[cfg] = w
+        weights = _fk_weights(graph, edges, alpha, beta, kind)
         total = sum(weights.values())
         out[kind] = {cfg: w / total for cfg, w in weights.items()}
     return XyExactLaw(graph=graph, edges=edges, omega_probs=out["omega"], eta_probs=out["eta"])
@@ -224,33 +245,14 @@ def xy_angle_density_oracle(
     for ix, x in enumerate(xs):
         al = dict(alpha_rest)
         al[u] = float(x)
-        total_om = 0.0
-        total_et = 0.0
         pref = 0.0
         for (a, b) in edges:
             pref += beta * (
                 math.cos(al[a]) * math.cos(al[b])
                 + math.sin(al[a]) * math.sin(al[b])
             )
-        for kind in ("omega", "eta"):
-            ps = []
-            for (a, b) in edges:
-                if kind == "omega":
-                    y = beta * math.cos(al[a]) * math.cos(al[b])
-                else:
-                    y = beta * math.sin(al[a]) * math.sin(al[b])
-                ps.append(-math.expm1(-2.0 * y))
-            tot = 0.0
-            for cfg in itertools.product((0, 1), repeat=len(edges)):
-                w = 1.0
-                for bit, p in zip(cfg, ps):
-                    w *= p if bit else (1.0 - p)
-                w *= 2.0 ** _component_count(graph, cfg, edges)
-                tot += w
-            if kind == "omega":
-                total_om = tot
-            else:
-                total_et = tot
+        total_om = sum(_fk_weights(graph, edges, al, beta, "omega").values())
+        total_et = sum(_fk_weights(graph, edges, al, beta, "eta").values())
         out[ix] = math.exp(pref) * total_om * total_et
     return out
 
@@ -267,3 +269,139 @@ def xy_two_vertex_expectation(beta: float, f) -> complex:
     s0 = np.exp(1j * t0) + 0.0 * t1
     s1 = np.exp(1j * t1) + 0.0 * t0
     return complex(np.sum(W * f(s0, s1)) / np.sum(W))
+
+
+# ---------------------------------------------------------------------------
+# XY order, update support and spin reconstruction
+# ---------------------------------------------------------------------------
+
+
+def xy_leq(a: XyTriple, b: XyTriple) -> bool:
+    """The partial order: alpha <=, omega >=, eta <= componentwise."""
+    return (
+        all(a.alpha[n] <= b.alpha[n] for n in a.graph.nodes)
+        and all(a.omega[e] >= b.omega[e] for e in a.graph.edges)
+        and all(a.eta[e] <= b.eta[e] for e in a.graph.edges)
+    )
+
+
+def almost_markov_support(tau: XyTriple, u) -> Tuple[Set, Set]:
+    """Vertices and edges the update at u may read.
+
+    N(u) plus the omega- and eta-clusters of the neighbours in the
+    graph without u; the edge set contains the incident edges of every
+    explored vertex (their states determine the clusters).
+    """
+    graph = tau.graph
+    verts: Set = set(graph.neighbors_of(u))
+    for bond in (tau.omega, tau.eta):
+        for t in graph.neighbors_of(u):
+            if graph.is_frozen[t]:
+                continue
+            stack = [t]
+            comp = {t}
+            while stack:
+                cur = stack.pop()
+                for e in graph.incident[cur]:
+                    other = graph.other(e, cur)
+                    if other == u or other in comp or not bond.get(e, 0):
+                        continue
+                    comp.add(other)
+                    if not graph.is_frozen[other]:
+                        stack.append(other)
+            verts |= comp
+    edges: Set = set()
+    for v in verts:
+        for e in graph.incident[v]:
+            if u not in e:
+                edges.add(e)
+    return verts, edges
+
+
+def percolation_components(graph: XyGraph, bond: Mapping[Tuple, int]) -> List[FrozenSet]:
+    """Components of (nodes, open bond edges); frozen nodes do transit
+    here because reconstruction needs the true percolation clusters."""
+    seen: Set = set()
+    comps: List[FrozenSet] = []
+    for n in graph.nodes:
+        if n in seen:
+            continue
+        comp = {n}
+        stack = [n]
+        while stack:
+            cur = stack.pop()
+            for e in graph.incident[cur]:
+                other = graph.other(e, cur)
+                if other in comp or not bond.get(e, 0):
+                    continue
+                comp.add(other)
+                stack.append(other)
+        seen |= comp
+        comps.append(frozenset(comp))
+    return comps
+
+
+def component_representative(comp: FrozenSet):
+    return min(comp, key=_node_key)
+
+
+def xy_reconstruct_spins(
+    tau: XyTriple,
+    omega_coins: Mapping,
+    eta_coins: Mapping,
+) -> Dict[object, complex]:
+    """sigma = xi*cos(alpha) + i*zeta*sin(alpha) with component coins.
+
+    Coins are +-1 mappings keyed by the component representative (its
+    minimal node).  A component containing a frozen node whose
+    coordinate is active (cos for omega, sin for eta) has its sign
+    forced to +1 by the boundary condition.
+    """
+    out: Dict[object, complex] = {}
+    signs: Dict[object, Tuple[float, float]] = {n: [0.0, 0.0] for n in tau.graph.nodes}
+    for which, bond, coins in (
+        (0, tau.omega, omega_coins),
+        (1, tau.eta, eta_coins),
+    ):
+        for comp in percolation_components(tau.graph, bond):
+            rep = component_representative(comp)
+            forced = False
+            for n in comp:
+                if tau.graph.is_frozen[n]:
+                    coord = (
+                        math.cos(tau.alpha[n]) if which == 0 else math.sin(tau.alpha[n])
+                    )
+                    if abs(coord) > 1e-12:
+                        forced = True
+                        break
+            if forced:
+                coin = 1
+            else:
+                coin = coins[rep]
+                if coin not in (-1, 1):
+                    raise ValueError("coins must be +-1")
+            for n in comp:
+                signs[n][which] = float(coin)
+    for n in tau.graph.nodes:
+        xi, zeta = signs[n]
+        out[n] = xi * math.cos(tau.alpha[n]) + 1j * zeta * math.sin(tau.alpha[n])
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Lattice geometry
+# ---------------------------------------------------------------------------
+
+
+def exterior_boundary(box: BoxRegion) -> List[Vertex]:
+    """Sorted sites outside the box next to an inside site, by neighbour scan."""
+    out = set()
+    for v in box.vertices():
+        for i in range(box.d):
+            for step in (-1, 1):
+                w = list(v)
+                w[i] += step
+                w = tuple(w)
+                if not box.contains(w):
+                    out.add(w)
+    return sorted(out)

@@ -16,9 +16,10 @@ from exactspin.cftp import (
 )
 from exactspin.engine import MonotonicityError
 from exactspin.lattice import build_box
-from exactspin.oracle import instance_from_box, quadrature_cdf, rejection_sample
 from exactspin.randomness import event_stream
-from exactspin.xy import BC_PLUS_ONE, XyTriple, box_graph, xy_extremes, xy_leq
+from exactspin.xy import BC_PLUS_ONE, XyTriple, box_graph, xy_extremes
+
+from oracle import instance_from_box, quadrature_cdf, rejection_sample, xy_leq
 
 
 def test_window_validates_calibration():
@@ -29,11 +30,18 @@ def test_window_validates_calibration():
         with pytest.raises(ValueError):
             WindowSpec(region, t_start, t_end, MODEL_SWM, beta=1.0, k=3, eps=0.1)
     # digit depths past 15 would hang the float cell search; negative
-    # beta has no Gibbs law
+    # beta has no Gibbs law, and a NaN or infinite one none either (NaN
+    # calibrated to k = 0, inf made the SWM scan grow without end)
     for model, beta, k in ((MODEL_SWM, 0.5, 16), (MODEL_XY, 0.5, 16), (MODEL_SWM, 0.5, -1),
                            (MODEL_SWM, -0.5, 3), (MODEL_XY, -0.5, 3)):
         with pytest.raises(ValueError):
             WindowSpec(region, -4.0, 0.0, model, beta=beta, k=k, eps=0.1)
+    for model in (MODEL_SWM, MODEL_XY):
+        for beta in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="beta"):
+                WindowSpec(region, -4.0, 0.0, model, beta=beta, k=3, eps=0.1)
+            with pytest.raises(ValueError, match="beta"):
+                auto_window(region, -1.0, 0.0, model, beta)
     with pytest.raises(ValueError):
         cftp_sample(region, [(0, 0)], MODEL_SWM, 0.5, seed=1, boundary=0.0, k=16)
     WindowSpec(region, -1.0, -1.0, MODEL_SWM, beta=1.0, k=3, eps=0.1)

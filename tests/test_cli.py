@@ -44,3 +44,16 @@ def test_sample_rejects_bad_boundary(model, boundary, capsys):
         main(["sample", "--model", model, "--beta", "0.5", "--boundary", boundary])
     assert exc.value.code == 2
     assert "--boundary" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option,value", [
+    ("--d", "0"), ("--d", "-2"), ("--d", "1.5"), ("--radius", "0"), ("--radius", "x"),
+    ("--beta", "-1"), ("--beta", "nan"), ("--beta", "inf"), ("--beta", "hot"),
+])
+def test_sample_rejects_bad_lattice_and_beta(option, value, capsys):
+    args = {"--d": "1", "--radius": "2", "--beta": "0.5"}
+    args[option] = value
+    with pytest.raises(SystemExit) as exc:
+        main(["sample", *(tok for kv in args.items() for tok in kv)])
+    assert exc.value.code == 2
+    assert option in capsys.readouterr().err

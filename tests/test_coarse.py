@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -8,6 +9,7 @@ from exactspin.coarse import (
     DegenerateSampleError,
     ThetaField,
     _box_crossing,
+    cell_is_good,
     cell_is_mixed,
     decoupling_check,
     local_set,
@@ -46,7 +48,8 @@ def test_coarse_params_reject_bad_depth_and_beta():
     # the rule WindowSpec applies: k in [0, 15] and, at beta = 2.0, not
     # below the calibrated floor of 3 (uncertified matching otherwise)
     for model in ("swm", "xy"):
-        for beta, k in ((0.5, 16), (0.5, -1), (-0.5, None), (-0.5, 2), (2.0, 0)):
+        for beta, k in ((0.5, 16), (0.5, -1), (-0.5, None), (-0.5, 2), (2.0, 0),
+                        (math.nan, None), (math.nan, 2), (math.inf, None), (math.inf, 2)):
             with pytest.raises(ValueError):
                 CoarseParams(model=model, beta=beta, d=1, L=1, delta=0.5, k=k)
         CoarseParams(model=model, beta=0.5, d=1, L=1, delta=0.5, k=15)
@@ -98,6 +101,48 @@ def test_local_set_of_mixed_anchor_is_its_zone(seed):
     assert ls.shield == frozenset({(0, (0,))})
     assert ls.vertices == frozenset(build_box(1, 8).vertices())
     assert ls.size == 15
+
+
+def test_theta_field_good_reads_cell_is_good():
+    # XY at beta = 0 closes every edge, so good cells are the mixed ones;
+    # the field must still hold cell_is_good's bit at every cell
+    params = CoarseParams(model="xy", beta=0.0, d=1, L=1, delta=0.5)
+    window = CellWindow(j_min=-1, j_max=0, x_radius=1, d=1)
+    for seed in range(4):
+        theta = ThetaField(window, params, seed, good=True)
+        for cell in window.cells():
+            assert theta.value(cell) == cell_is_good(cell, params, seed)
+        assert json.loads(theta.to_json())["good"] is True
+    swm = CoarseParams(model="swm", beta=0.0, d=1, L=1, delta=0.5)
+    with pytest.raises(ValueError):
+        ThetaField(window, swm, 0, good=True)
+
+
+def test_theta_field_to_json():
+    params = CoarseParams(model="swm", beta=0.0, d=1, L=2, delta=0.5)
+    window = CellWindow(j_min=-2, j_max=0, x_radius=1, d=1)
+    theta = ThetaField(window, params, seed=3)
+    rec = json.loads(theta.to_json())
+    assert rec["window"] == {"j_min": -2, "j_max": 0, "x_radius": 1, "d": 1}
+    assert rec["params"] == {"model": "swm", "beta": 0.0, "L": 2, "delta": 0.5,
+                             "eps": 0.1, "k": params.digits}
+    assert rec["seed"] == 3 and rec["good"] is False
+    cells = [((c["j"], tuple(c["x"])), c["bit"]) for c in rec["cells"]]
+    assert cells == [(cell, cell_is_mixed(cell, params, 3)) for cell in sorted(window.cells())]
+
+
+def test_local_set_to_json():
+    # seed 0 leaves the anchor cell mixed, as in
+    # test_local_set_of_mixed_anchor_is_its_zone: empty cluster, and the
+    # anchor's 15-site zone as local set
+    params = CoarseParams(model="swm", beta=0.0, d=1, L=2, delta=0.5)
+    theta = ThetaField(CellWindow(j_min=-3, j_max=0, x_radius=3, d=1), params, 0)
+    ls = local_set((0,), theta, params)
+    rec = json.loads(ls.to_json())
+    assert rec["anchor"] == [0]
+    assert rec["size"] == len(rec["vertices"]) == len(ls.vertices) == 15
+    assert rec["vertices"] == sorted([list(v) for v in ls.vertices])
+    assert rec["cluster"] == []
 
 
 @pytest.mark.parametrize("mode, expected", [("outside", 20), ("inside", 0)])

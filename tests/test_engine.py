@@ -15,6 +15,8 @@ from exactspin.engine import (
 from exactspin.lattice import build_box, neighbors
 from exactspin.randomness import event_stream
 
+from oracle import exterior_boundary
+
 
 def test_engine_stream_matches_object_stream():
     box = build_box(2, 3)
@@ -78,8 +80,8 @@ def test_first_update_is_swm_draw_at_neighbour_mean(d, seed):
 
     lo_vals = {v: grid_value(-1.0) for v in box.vertices()}
     hi_vals = {v: grid_value(lo_vals[v]) for v in box.vertices()}
-    lo_bc = {y: grid_value(-1.0) for y in box.exterior_boundary()}
-    hi_bc = {y: grid_value(lo_bc[y]) for y in box.exterior_boundary()}
+    lo_bc = {y: grid_value(-1.0) for y in exterior_boundary(box)}
+    hi_bc = {y: grid_value(lo_bc[y]) for y in exterior_boundary(box)}
     first = event_stream(box, -2.0, 0.0, seed)[0]
     res = swm_sandwich(
         lat, beta, k, eps, -2.0, first.time, seed, bc_top=hi_bc, bc_bot=lo_bc,
@@ -117,7 +119,7 @@ def test_evolve_respects_boundary_map():
     box = build_box(2, 2)
     lat = SwmLattice(box.vertices())
     init = np.zeros(lat.size)
-    zmap = {y: 0.9 for y in box.exterior_boundary()}
+    zmap = {y: 0.9 for y in exterior_boundary(box)}
     res = swm_sandwich(lat, 2.0, 2, 0.15, -30.0, 0.0, 9, bc_top=zmap, bc_bot=zmap,
                        init_top=init, init_bot=init)
     assert np.array_equal(res.top, res.bot)
@@ -163,7 +165,7 @@ def test_lanes_monotone_in_initial():
     for seed in range(200):
         lo = {v: rng.uniform(-1, 1) for v in region.vertices()}
         hi = {v: rng.uniform(lo[v], 1.0) for v in region.vertices()}
-        bmap = {y: 0.0 for y in region.exterior_boundary()}
+        bmap = {y: 0.0 for y in exterior_boundary(region)}
         out_hi, out_lo = _evolve_pair(region, 0.5, hi, lo, bmap, -2.0, 0.0, seed)
         for v in region.vertices():
             assert out_lo[v] <= out_hi[v]

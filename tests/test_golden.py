@@ -24,6 +24,8 @@ from exactspin.engine import SwmLattice, swm_sandwich
 from exactspin.lattice import build_box
 from exactspin.randomness import event_stream
 
+from oracle import exterior_boundary
+
 
 def _digest(items) -> str:
     h = hashlib.sha256()
@@ -74,7 +76,7 @@ def _offset_core():
 def _mapping_boundary():
     box = build_box(2, 3)
     lat = SwmLattice(box.vertices())
-    ext = box.exterior_boundary()
+    ext = exterior_boundary(box)
     top = {y: 0.75 - 0.1 * i / len(ext) for i, y in enumerate(ext)}
     bot = {y: -0.25 + 0.05 * (i % 3) for i, y in enumerate(ext)}
     return [swm_sandwich(lat, 1.0, 2, 0.2, -6.0, 0.0, seed=12345,

@@ -3,14 +3,15 @@ import math
 import numpy as np
 
 from exactspin.lattice import build_box
-from exactspin.oracle import (
+from exactspin.xy import HALF_PI, XyGraph
+
+from oracle import (
     enumerate_xy,
     instance_from_box,
     quadrature_cdf,
     rejection_sample,
     xy_two_vertex_expectation,
 )
-from exactspin.xy import HALF_PI, XyGraph
 
 
 def test_rejection_beta_zero_uniform():

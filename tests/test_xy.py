@@ -7,7 +7,6 @@ import pytest
 from exactspin import xy as xy_mod
 from exactspin.cftp import auto_window, sandwich_run
 from exactspin.lattice import build_box
-from exactspin.oracle import enumerate_xy, xy_angle_density_oracle, xy_two_vertex_expectation
 from exactspin.randomness import mix64
 from exactspin.xy import (
     _XS,
@@ -19,25 +18,35 @@ from exactspin.xy import (
     AngleLawHandle,
     XyGraph,
     XyTriple,
-    almost_markov_support,
     box_graph,
     calibrate_matching_xy,
-    percolation_components,
-    component_representative,
     xy_angle_law,
     xy_angle_update,
     xy_edge_update,
     xy_extremes,
     xy_full_update,
-    xy_leq,
-    xy_reconstruct_spins,
 )
 
 from keyed import keyed_randomness
+from oracle import (
+    almost_markov_support,
+    component_representative,
+    enumerate_xy,
+    percolation_components,
+    xy_angle_density_oracle,
+    xy_leq,
+    xy_reconstruct_spins,
+    xy_two_vertex_expectation,
+)
 
 
 def _iota(key):
     return keyed_randomness(mix64(key))
+
+
+def _law_log_density(law):
+    """The grid log density the law's CDF is built from."""
+    return xy_mod._log_density(law.beta, law.cos_sums, law.sin_sums)
 
 
 def _random_triple(graph, beta, rng):
@@ -98,7 +107,7 @@ def test_angle_law_single_neighbor_formula():
     assert law.cos_sums == (1.0,)
     assert law.sin_sums == (0.0,)
     # density proportional to cosh(beta cos x), on the production grid
-    logd = law.log_density_grid()
+    logd = _law_log_density(law)
     for i in (0, 255, 891, 1656, len(_XS) - 1):
         x = float(_XS[i])
         expect = math.log(2 * math.cosh(1.2 * math.cos(x))) + math.log(2.0)
@@ -123,7 +132,7 @@ def test_angle_law_group_structure():
     assert sorted(law_split.cos_sums) == sorted((a, b))
     i = 782  # grid point near x = 0.6
     x = float(_XS[i])
-    got = law_linked.log_density_grid()[i] - law_split.log_density_grid()[i]
+    got = _law_log_density(law_linked)[i] - _law_log_density(law_split)[i]
     cu = 0.9 * math.cos(x)
     expect = math.log(2 * math.cosh(cu * (a + b))) - math.log(
         4 * math.cosh(cu * a) * math.cosh(cu * b)
@@ -146,7 +155,7 @@ def test_angle_law_matches_enumeration_oracle():
         dens = xy_angle_density_oracle(
             g, {v1: tau.alpha[v1], v2: tau.alpha[v2]}, u, 1.1, xs
         )
-        logd = law.log_density_grid()[idx]
+        logd = _law_log_density(law)[idx]
         ratio = np.log(dens) - logd
         assert ratio.max() - ratio.min() < 1e-9
 
@@ -536,7 +545,7 @@ def test_memoised_angle_law_matches_uncached_formula():
     for beta in (0.0, 0.45, 1.0, 3.7):
         for cos_sums, sin_sums in order:
             h = AngleLawHandle(cos_sums=cos_sums, sin_sums=sin_sums, beta=beta)
-            logd = h.log_density_grid()
+            logd = _law_log_density(h)
             assert logd.tobytes() == _uncached_log_density(beta, cos_sums, sin_sums).tobytes()
             cdf = h.cdf_grid()
             assert cdf.tobytes() == _uncached_cdf(beta, cos_sums, sin_sums).tobytes()
@@ -551,9 +560,9 @@ def test_memoised_arrays_are_read_only():
     with pytest.raises(ValueError):
         xy_mod._log_cosh_term(0.3, 0)[0] = 0.0
     # the log density is a fresh sum: changing it leaves the next one alone
-    logd = h.log_density_grid()
+    logd = _law_log_density(h)
     logd[:] = 0.0
-    assert h.log_density_grid().tobytes() == _uncached_log_density(1.0, (0.3, 1.2), (0.9,)).tobytes()
+    assert _law_log_density(h).tobytes() == _uncached_log_density(1.0, (0.3, 1.2), (0.9,)).tobytes()
 
 
 def test_angle_law_caches_stay_within_their_caps():
