@@ -22,7 +22,7 @@ from .engine import MonotonicityError, SwmLattice, swm_sandwich
 from .lattice import BoxRegion, Vertex, build_box
 from .randomness import MAX_DIGITS, UpdateEvent, check_window, digit_cell, event_stream
 from .swm import SwmField
-from .xy import XyTriple, box_graph, xy_extremes, xy_full_update
+from .xy import XyTriple, _lane_groups, box_graph, xy_extremes, xy_full_update
 
 MODEL_SWM = "swm"
 MODEL_XY = "xy"
@@ -126,7 +126,11 @@ def xy_sandwich_steps(
     """Step the coupled XY lanes in place through ``events``, yielding each event.
 
     Both lanes take the update at the event's vertex with the event's
-    randomness.  The sandwich order (angle of lo <= angle of hi at the
+    randomness.  Where the lanes read the same inputs there (the same
+    (omega, eta) neighbour groups, the same alpha on every neighbour and
+    the same beta), one update runs on hi and its new alpha and incident
+    bonds are copied into lo, which is what lo's own update would give.
+    The sandwich order (angle of lo <= angle of hi at the
     vertex, omega of lo >= omega of hi and eta of lo <= eta of hi on its
     edges) is asserted after every update: a violation raises
     MonotonicityError.  Lanes that share a triple or one of its dicts
@@ -139,15 +143,30 @@ def xy_sandwich_steps(
 
 
 def _xy_steps(hi, lo, events, k, eps):
-    incident = hi.graph.incident
+    incident, adjacent = hi.graph.incident, hi.graph.adjacent
+    hi_alpha, hi_omega, hi_eta = hi.alpha, hi.omega, hi.eta
+    lo_alpha, lo_omega, lo_eta = lo.alpha, lo.omega, lo.eta
+    same_law = hi.beta == lo.beta and hi.graph is lo.graph
     for ev in events:
         u = ev.vertex
-        xy_full_update(hi, u, ev.randomness, k, eps)
-        xy_full_update(lo, u, ev.randomness, k, eps)
-        if hi.alpha[u] < lo.alpha[u]:
+        iota = ev.randomness
+        g_hi = _lane_groups(hi, u)
+        g_lo = _lane_groups(lo, u)
+        shared = same_law and g_hi == g_lo and all(
+            hi_alpha[v] == lo_alpha[v] for v, _ in adjacent[u]
+        )
+        xy_full_update(hi, u, iota, k, eps, g_hi)
+        if shared:
+            lo_alpha[u] = hi_alpha[u]
+            for e in incident[u]:
+                lo_omega[e] = hi_omega[e]
+                lo_eta[e] = hi_eta[e]
+        else:
+            xy_full_update(lo, u, iota, k, eps, g_lo)
+        if hi_alpha[u] < lo_alpha[u]:
             raise MonotonicityError(f"angle order violated at {u}, t={ev.time}")
         for e in incident[u]:
-            if lo.omega[e] < hi.omega[e] or lo.eta[e] > hi.eta[e]:
+            if lo_omega[e] < hi_omega[e] or lo_eta[e] > hi_eta[e]:
                 raise MonotonicityError(f"edge order violated at {e}, t={ev.time}")
         yield ev
 
@@ -257,8 +276,13 @@ def cftp_sample(
     Runs the sandwich over [-t, 0] for t = 1, 2, 4, ... reusing the
     same event realization (streams are restriction-consistent) until
     the extremal trajectories agree on the target at time 0.  Exceeding
-    ``t_max`` yields an explicit timeout result, never a silent sample.
+    ``t_max`` yields an explicit timeout result, never a silent sample;
+    its ``window_t`` is the longest window run, 0.0 when ``t_max`` < 1
+    let none run.  A NaN, infinite or non-positive ``t_max`` raises
+    ValueError.
     """
+    if not (math.isfinite(t_max) and t_max > 0.0):
+        raise ValueError(f"t_max must be finite and > 0, got {t_max!r}")
     target = list(target)
     for v in target:
         if not region.contains(v):
@@ -294,7 +318,7 @@ def cftp_sample(
             )
         t *= 2.0
     return CftpResult(
-        model=model, target=target, values=None, window_t=t / 2.0,
+        model=model, target=target, values=None, window_t=t / 2.0 if t > 1.0 else 0.0,
         timed_out=True, certificate=cert, seed=seed,
     )
 

@@ -29,14 +29,19 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _beta(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not (math.isfinite(value) and value >= 0.0):
-        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
-    return value
+def _finite_at_least(low: float):
+    """An argparse type: a finite float >= ``low``."""
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+        if not (math.isfinite(value) and value >= low):
+            raise argparse.ArgumentTypeError(f"must be finite and >= {low:g}, got {text!r}")
+        return value
+
+    return parse
 
 
 def _boundary(model: str, text: Optional[str]):
@@ -65,13 +70,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     sp.add_argument("--model", choices=(MODEL_SWM, MODEL_XY), default=MODEL_SWM)
     sp.add_argument("--d", type=_positive_int, default=2, help="lattice dimension")
     sp.add_argument("--radius", type=_positive_int, default=3, help="box radius")
-    sp.add_argument("--beta", type=_beta, required=True, help="inverse temperature, finite and >= 0")
+    sp.add_argument("--beta", type=_finite_at_least(0.0), required=True,
+                    help="inverse temperature, finite and >= 0")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--boundary", default=None,
                     help=f"frozen boundary (SWM: a spin value in [-1, 1]; XY: "
                          f"{BC_PLUS_ONE} or {BC_PLUS_I}); default: the extremal sandwich")
-    sp.add_argument("--t-max", type=float, default=None,
-                    help="longest window tried (default: cftp_sample's)")
+    sp.add_argument("--t-max", type=_finite_at_least(1.0), default=None,
+                    help="longest window tried, finite and >= 1 (default: cftp_sample's)")
     args = ap.parse_args(argv)
     try:
         boundary = _boundary(args.model, args.boundary)

@@ -120,10 +120,19 @@ class SwmLattice:
     def bsum(self, zeta) -> List[float]:
         """Per-site sum of boundary values under the boundary condition.
 
-        ``zeta`` is a constant or a mapping vertex -> value.
+        ``zeta`` is a constant or a mapping vertex -> value.  A site's
+        values are added left to right: from Python 3.12 ``sum()`` of
+        floats is compensated, which can move the last bit of a sum of
+        three or more (d >= 3).
         """
         if isinstance(zeta, Mapping):
-            return [float(sum(zeta[y] for y in b)) for b in self.boundary_sites]
+            out = []
+            for b in self.boundary_sites:
+                s = 0.0
+                for y in b:
+                    s += zeta[y]
+                out.append(float(s))
+            return out
         return [len(b) * float(zeta) for b in self.boundary_sites]
 
     def vkeys(

@@ -20,12 +20,25 @@ angles are fixed by the boundary condition.
 ``xy_full_update`` changes its triple in place.  The angle law's
 per-group log-cosh terms and normalised CDF grids are memoised in two
 small LRU caches of read-only arrays, keyed on the exact floats the
-uncached formula reads, so a cache hit returns the same bits.
+uncached formula reads, so a cache hit returns the same bits; the edge
+enumeration's per-configuration powers of two, which depend only on the
+integer block structure, are memoised the same way.
+
+An update at u reads only alpha on N(u), u's (omega, eta) neighbour
+groups, beta and the event's randomness.  So when two sandwich lanes
+agree on all of those, the sandwich loop (``cftp``) runs one update on
+the upper lane and copies the new alpha at u and omega/eta on u's
+incident edges into the lower lane: the same bits two updates give.
+
+Group sums are explicit left folds, not ``sum()``: from Python 3.12
+``sum()`` of floats is compensated (Neumaier), which changes the last
+bit of some sums of three or more terms and so the trajectories.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
@@ -40,6 +53,7 @@ HALF_PI = math.pi / 2.0
 
 _GRID_N = 2048
 _XS = np.linspace(0.0, HALF_PI, _GRID_N + 1)
+_XS_LIST: List[float] = _XS.tolist()
 _COS = np.cos(_XS)
 _SIN = np.sin(_XS)
 
@@ -144,8 +158,8 @@ class XyTriple:
         for x in self.alpha.values():
             if not 0.0 <= x <= HALF_PI:
                 raise ValueError("angles live in [0, pi/2]")
-        if self.beta < 0.0:
-            raise ValueError("beta must be >= 0")
+        if not (math.isfinite(self.beta) and self.beta >= 0.0):
+            raise ValueError(f"beta must be finite and >= 0, got {self.beta!r}")
 
     def copy(self) -> "XyTriple":
         return XyTriple(
@@ -270,7 +284,24 @@ class AngleLawHandle:
         return self._cdf_grid
 
     def cdf(self, x: float) -> float:
-        return float(np.interp(x, _XS, self.cdf_grid()))
+        """F_grid(x), by the arithmetic ``np.interp(x, _XS, F)`` does on
+        the grid interval [x_j, x_j+1) that holds x: F_j at a node, the
+        end values outside the grid, else slope*(x - x_j) + F_j with
+        slope = (F_j+1 - F_j)/(x_j+1 - x_j).  Same bits for every non-NaN x,
+        without a numpy call per point."""
+        F = self.cdf_grid()
+        xs = _XS_LIST
+        if x <= xs[0]:
+            return F.item(0)
+        if x >= xs[-1]:
+            return F.item(-1)
+        j = bisect_right(xs, x) - 1
+        x0 = xs[j]
+        f0 = F.item(j)
+        if x == x0:
+            return f0
+        slope = (F.item(j + 1) - f0) / (xs[j + 1] - x0)
+        return slope * (x - x0) + f0
 
     def inverse(self, u: float) -> float:
         F = self.cdf_grid()
@@ -305,10 +336,22 @@ def xy_angle_law(tau: XyTriple, u, groups: Groups) -> AngleLawHandle:
     if tau.graph.is_frozen[u]:
         raise ValueError("cannot resample a frozen boundary node")
     omega_groups, eta_groups = groups
-    alpha = tau.alpha
-    cos_sums = tuple(sum(math.cos(alpha[v]) for v in g) for g in omega_groups)
-    sin_sums = tuple(sum(math.sin(alpha[v]) for v in g) for g in eta_groups)
-    return AngleLawHandle(cos_sums=cos_sums, sin_sums=sin_sums, beta=tau.beta)
+    return AngleLawHandle(
+        cos_sums=_group_sums(omega_groups, math.cos, tau.alpha),
+        sin_sums=_group_sums(eta_groups, math.sin, tau.alpha),
+        beta=tau.beta,
+    )
+
+
+def _group_sums(groups: List[List], f, alpha: Dict[object, float]) -> Tuple[float, ...]:
+    """f(alpha) summed over each group, as a left fold in group order."""
+    out = []
+    for g in groups:
+        s = 0.0
+        for v in g:
+            s += f(alpha[v])
+        out.append(s)
+    return tuple(out)
 
 
 def _angle_cell_bounds(c: int, k: int) -> Tuple[float, float]:
@@ -376,9 +419,26 @@ def _edge_weight_p(beta: float, au: float, av: float, kind: str) -> float:
     return p
 
 
+@lru_cache(maxsize=256)
+def _link_scales(
+    target_blocks: Tuple[int, ...], u_linked: int, n_blocks: int
+) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
+    """2^(relative component count) of each configuration of the
+    undecided edges, as (closed, open) by the first edge's bit, each in
+    index order.  Only integers go in, so the tuples are memoised."""
+    links = [u_linked]
+    for b in target_blocks:
+        bit = 1 << b
+        links = links + [lk | bit for lk in links]
+    # components among {u} + blocks: blocks merge into u's component
+    top = n_blocks + 1
+    scales = [2.0 ** (top - lk.bit_count()) for lk in links]
+    return tuple(scales[0::2]), tuple(scales[1::2])
+
+
 def _conditional_open_prob(
     p_list: List[float],
-    target_blocks: List[int],
+    target_blocks: Sequence[int],
     u_linked: int,
     n_blocks: int,
 ) -> float:
@@ -394,22 +454,16 @@ def _conditional_open_prob(
     and the open and closed totals are summed in index order.
     """
     prods = [1.0]
-    links = [u_linked]
-    for p, b in zip(p_list, target_blocks):
+    for p in p_list:
         q = 1.0 - p
-        bit = 1 << b
         prods = [w * q for w in prods] + [w * p for w in prods]
-        links = links + [lk | bit for lk in links]
-    # components among {u} + blocks: blocks merge into u's component
-    top = n_blocks + 1
+    closed_scales, open_scales = _link_scales(tuple(target_blocks), u_linked, n_blocks)
     w_open = 0.0
+    for w, s in zip(prods[1::2], open_scales):
+        w_open += w * s
     w_closed = 0.0
-    for mask, (w, lk) in enumerate(zip(prods, links)):
-        w *= 2.0 ** (top - lk.bit_count())
-        if mask & 1:
-            w_open += w
-        else:
-            w_closed += w
+    for w, s in zip(prods[0::2], closed_scales):
+        w_closed += w * s
     total = w_open + w_closed
     if total <= 0.0:
         return 0.0
@@ -446,7 +500,7 @@ def xy_edge_update(
                 block_of[t] = gi
         n_blocks = len(kind_groups)
         p_all = [_edge_weight_p(beta, au, alpha[v], kind) for v in nbrs]
-        blocks = [block_of[v] for v in nbrs]
+        blocks = tuple(block_of[v] for v in nbrs)
         u_linked = 0
         for i, e in enumerate(incident):
             prob = _conditional_open_prob(p_all[i:], blocks[i:], u_linked, n_blocks)
@@ -459,14 +513,14 @@ def xy_edge_update(
 
 
 def xy_full_update(
-    tau: XyTriple, u, iota: UpdateRandomness, k: int, eps: float
+    tau: XyTriple, u, iota: UpdateRandomness, k: int, eps: float, groups: Groups
 ) -> XyTriple:
     """Angle then incident edges, in place; returns ``tau``.
 
-    The neighbour groups are computed once and shared by both stages:
-    they do not depend on the angle at u or on u's incident edges.
+    ``groups`` are u's neighbour groups from :func:`_lane_groups`, shared
+    by both stages: they do not depend on the angle at u or on u's
+    incident edges.
     """
-    groups = _lane_groups(tau, u)
     tau.alpha[u] = xy_angle_update(tau, u, iota, k, eps, groups)
     om, et = xy_edge_update(tau, u, iota, groups)
     tau.omega.update(om)

@@ -205,8 +205,15 @@ def test_cftp_timeout_is_explicit():
         region, [(0, 0)], MODEL_SWM, beta=0.5, seed=1, boundary=0.0, t_max=0.5
     )
     assert res.timed_out and res.values is None
+    assert res.window_t == 0.0  # a cap below 1 lets no window run
     js = res.to_json()
     assert "timed_out" in js
+
+
+@pytest.mark.parametrize("t_max", [float("nan"), float("inf"), 0.0, -4.0])
+def test_cftp_rejects_bad_t_max(t_max):
+    with pytest.raises(ValueError, match="t_max"):
+        cftp_sample(build_box(1, 2), [(0,)], MODEL_SWM, beta=0.5, seed=1, t_max=t_max)
 
 
 def test_cftp_xy_small_box():

@@ -49,6 +49,7 @@ def test_sample_rejects_bad_boundary(model, boundary, capsys):
 @pytest.mark.parametrize("option,value", [
     ("--d", "0"), ("--d", "-2"), ("--d", "1.5"), ("--radius", "0"), ("--radius", "x"),
     ("--beta", "-1"), ("--beta", "nan"), ("--beta", "inf"), ("--beta", "hot"),
+    ("--t-max", "nan"), ("--t-max", "inf"), ("--t-max", "0"), ("--t-max", "-4"),
 ])
 def test_sample_rejects_bad_lattice_and_beta(option, value, capsys):
     args = {"--d": "1", "--radius": "2", "--beta": "0.5"}
@@ -57,3 +58,4 @@ def test_sample_rejects_bad_lattice_and_beta(option, value, capsys):
         main(["sample", *(tok for kv in args.items() for tok in kv)])
     assert exc.value.code == 2
     assert option in capsys.readouterr().err
+

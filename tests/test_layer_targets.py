@@ -131,11 +131,29 @@ def test_traced_engine_attributes_are_called(monkeypatch):
     assert shared_total[0] > 0  # 96 of the 1,311 events here
 
 
+def _shared_events(window, seed):
+    """Events at which the two lanes read the same update inputs, found by
+    stepping both lanes separately through the run's events."""
+    lo, hi = xy.xy_extremes(xy.box_graph(window.region), window.beta, bc=window.boundary)
+    shared = 0
+    for ev in cftp.event_stream(window.region, window.t_start, window.t_end, seed):
+        u = ev.vertex
+        g_hi, g_lo = xy._lane_groups(hi, u), xy._lane_groups(lo, u)
+        shared += g_hi == g_lo and all(
+            hi.alpha[v] == lo.alpha[v] for v in hi.graph.neighbors_of(u))
+        xy.xy_full_update(hi, u, ev.randomness, window.k, window.eps, g_hi)
+        xy.xy_full_update(lo, u, ev.randomness, window.k, window.eps, g_lo)
+    return shared, lo, hi
+
+
 def test_traced_xy_attributes_are_called(monkeypatch):
     # perfbench reads the XY path through cftp.xy_full_update, xy._groups,
-    # xy.AngleLawHandle.cdf_grid and xy.XyTriple.copy: two lane updates per
-    # event, each in place with its neighbour groups computed once per
-    # bond field, and no triple copy in the lane loop
+    # xy.AngleLawHandle.cdf_grid and xy.XyTriple.copy: neighbour groups
+    # once per lane and bond field, one lane update per event and lane
+    # except at the events where both lanes read the same inputs (one
+    # update there, copied), each in place, and no triple copy in the loop
+    window = cftp.auto_window(build_box(2, 2), -8.0, 0.0, "xy", 0.3, boundary="+1")
+    shared, lo_ref, hi_ref = _shared_events(window, seed=3)
     calls = {"xy_full_update": 0, "_groups": 0, "cdf_grid": 0, "copy": 0}
 
     def counting(owner, name):
@@ -154,13 +172,16 @@ def test_traced_xy_attributes_are_called(monkeypatch):
     counting(xy, "_groups")
     counting(xy.AngleLawHandle, "cdf_grid")
     counting(xy.XyTriple, "copy")
-    window = cftp.auto_window(build_box(2, 2), -4.0, 0.0, "xy", 1.0, boundary="+1")
     pair = cftp.sandwich_run(window, seed=3)
-    assert pair.event_count > 0
-    assert calls["xy_full_update"] == 2 * pair.event_count
-    assert calls["_groups"] == 2 * calls["xy_full_update"]
+    assert 0 < shared < pair.event_count
+    assert calls["xy_full_update"] == 2 * pair.event_count - shared
+    assert calls["_groups"] == 4 * pair.event_count
     assert calls["cdf_grid"] >= calls["xy_full_update"]
     assert calls["copy"] == 0
+    # the shared updates leave the lanes as two separate updates do
+    for ref, lane in ((hi_ref, pair.top), (lo_ref, pair.bot)):
+        assert [a.hex() for a in lane.alpha.values()] == [a.hex() for a in ref.alpha.values()]
+        assert lane.omega == ref.omega and lane.eta == ref.eta
 
 
 def test_pair_fields_called_once_per_swm_round(monkeypatch):

@@ -4,10 +4,11 @@ import random
 import numpy as np
 import pytest
 
+from exactspin import cftp as cftp_mod
 from exactspin import xy as xy_mod
-from exactspin.cftp import auto_window, sandwich_run
+from exactspin.cftp import auto_window, sandwich_run, xy_sandwich_steps
 from exactspin.lattice import build_box
-from exactspin.randomness import mix64
+from exactspin.randomness import UpdateEvent, mix64
 from exactspin.xy import (
     _XS,
     _conditional_open_prob,
@@ -285,9 +286,113 @@ def test_full_update_preserves_order():
     for key in range(1500):
         lo, hi = _ordered_pair(g, 0.8, rng)
         iota = _iota(key)
-        new_lo = xy_full_update(lo, (0, 0), iota, k=2, eps=0.15)
-        new_hi = xy_full_update(hi, (0, 0), iota, k=2, eps=0.15)
+        new_lo = xy_full_update(lo, (0, 0), iota, k=2, eps=0.15, groups=_lane_groups(lo, (0, 0)))
+        new_hi = xy_full_update(hi, (0, 0), iota, k=2, eps=0.15, groups=_lane_groups(hi, (0, 0)))
         assert xy_leq(new_lo, new_hi)
+
+
+def _triple_bits(tau):
+    return ([(n, a.hex()) for n, a in tau.alpha.items()], dict(tau.omega), dict(tau.eta))
+
+
+def test_shared_lane_update_equals_two_updates(monkeypatch):
+    # lanes that agree on u's neighbour groups and on alpha over N(u) but
+    # differ elsewhere (alpha at u and beyond N(u), u's own bonds, far
+    # bonds): the sandwich's one shared update must give both lanes the
+    # bits of two separate updates
+    calls = []
+    original = cftp_mod.xy_full_update
+
+    def counting(*args):
+        calls.append(args[1])
+        return original(*args)
+
+    monkeypatch.setattr(cftp_mod, "xy_full_update", counting)
+    g = box_graph(build_box(2, 3))
+    rng = random.Random(41)
+    tried = 0
+    for key in range(400):
+        a = _random_triple(g, 1.0, rng)
+        b = a.copy()
+        u = rng.choice(g.free)
+        near = set(g.neighbors_of(u))
+        for n in g.nodes:
+            if n not in near and rng.random() < 0.7:
+                b.alpha[n] = rng.uniform(0, HALF_PI)
+        for e in g.edges:
+            if e in g.incident[u] or rng.random() < 0.1:
+                b.omega[e] = rng.randint(0, 1)
+                b.eta[e] = rng.randint(0, 1)
+        if _lane_groups(a, u) != _lane_groups(b, u):
+            continue
+        tried += 1
+        assert _triple_bits(a) != _triple_bits(b)
+        iota = _iota(key)
+        hi, lo = a.copy(), b.copy()
+        calls.clear()
+        for _ in xy_sandwich_steps(hi, lo, [UpdateEvent(u, -0.5, iota)], k=2, eps=0.15):
+            pass
+        assert calls == [u]  # one update served both lanes
+        for lane, tau in ((hi, a), (lo, b)):
+            xy_full_update(tau, u, iota, k=2, eps=0.15, groups=_lane_groups(tau, u))
+            assert _triple_bits(lane) == _triple_bits(tau)
+    assert tried >= 100
+
+
+def test_cdf_is_np_interp_bit_for_bit():
+    rng = random.Random(5)
+    h = float(_XS[1])
+    nodes = [float(x) for x in _XS]
+    for trial in range(30):
+        law = AngleLawHandle(
+            cos_sums=tuple(rng.uniform(0, 3) for _ in range(rng.randint(0, 3))),
+            sin_sums=tuple(rng.uniform(0, 3) for _ in range(rng.randint(0, 3))),
+            beta=rng.choice([0.0, 0.5, 1.0, 4.0]),
+        )
+        F = law.cdf_grid()
+        xs = [rng.uniform(-h, HALF_PI + h) for _ in range(300)]
+        for x in rng.sample(nodes, 30) + [nodes[0], nodes[-1]]:
+            xs += [x, math.nextafter(x, -1.0), math.nextafter(x, 2.0)]
+        xs += [-1.0, -0.0, 2.0, HALF_PI, math.pi]
+        for c in range(0, 1000, 37):  # digit-cell bounds at depth 3
+            xs += [(c / 1000.0) * HALF_PI, ((c + 1) / 1000.0) * HALF_PI]
+        for x in xs:
+            assert law.cdf(x).hex() == float(np.interp(x, _XS, F)).hex(), x
+
+
+def _compensated_sum(xs):
+    """``sum()`` of floats on Python >= 3.12 (Neumaier's compensation)."""
+    f, c = 0 + xs[0], 0.0
+    for x in xs[1:]:
+        t = f + x
+        c += (f - t) + x if abs(f) >= abs(x) else (x - t) + f
+        f = t
+    return f + c if c and math.isfinite(c) else f
+
+
+def test_group_sum_is_a_left_fold():
+    # a three-member omega group whose left-fold cosine sum differs in the
+    # last bit from the compensated sum() of Python >= 3.12: the law must
+    # read the left fold on every Python
+    u, v1, v2, v3 = (0,), (1,), (2,), (3,)
+    g = XyGraph(free=[u, v1, v2, v3], edges=[(u, v1), (u, v2), (u, v3), (v1, v2), (v2, v3)])
+    bonds = {e: int(u not in e) for e in g.edges}
+    alpha = {u: 0.2, v1: 1.23, v2: 0.48, v3: 0.75}
+    tau = XyTriple(g, alpha, dict(bonds), {e: 0 for e in g.edges}, beta=1.0)
+    groups = _lane_groups(tau, u)
+    assert groups[0] == [[v1, v2, v3]]
+    cosines = [math.cos(alpha[v]) for v in (v1, v2, v3)]
+    got = xy_angle_law(tau, u, groups).cos_sums[0]
+    assert got.hex() == "0x1.f3f2aa26cdf22p+0"
+    assert got == (cosines[0] + cosines[1]) + cosines[2]
+    assert got != _compensated_sum(cosines)
+
+
+@pytest.mark.parametrize("beta", [-0.5, float("nan"), float("inf"), float("-inf")])
+def test_triple_rejects_bad_beta(beta):
+    g = XyGraph(free=[(0,)], edges=[])
+    with pytest.raises(ValueError, match="beta"):
+        XyTriple(g, {(0,): 0.3}, {}, {}, beta=beta)
 
 
 def test_almost_markov_support_closed_bonds():
@@ -402,7 +507,7 @@ def test_two_vertex_spin_law_matches_xy_model():
     for sweep in range(n + burn):
         for u in ((0,), (1,)):
             key += 1
-            tau = xy_full_update(tau, u, _iota(key), k=2, eps=0.1)
+            tau = xy_full_update(tau, u, _iota(key), k=2, eps=0.1, groups=_lane_groups(tau, u))
         if sweep >= burn:
             om_coins = {
                 component_representative(c): rng.choice([-1, 1])
@@ -614,6 +719,8 @@ def test_open_prob_matches_set_based_enumeration():
         mask = sum(1 << b for b in linked)
         got = _conditional_open_prob(p_list, blocks, mask, n_blocks)
         assert got.hex() == _set_based_open_prob(p_list, blocks, linked, n_blocks).hex()
+    info = xy_mod._link_scales.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize
 
 
 def _grid_bound(law):
