@@ -13,9 +13,12 @@ of the neighbours), through a 2048-interval grid interpolant of its CDF
 whose distance from the exact CDF is bounded in ``AngleLawHandle``;
 then it resamples the incident edges one at a time from their
 exact conditionals with the not-yet-resampled incident edges summed
-out.  Boundary vertices are frozen singleton clusters: they are
-leaf-split so no connectivity ever passes through them, and their
-angles are fixed by the boundary condition.
+out.  That conditional lies in the FK bracket [p/(2-p), p] of the
+edge's weight p, so a uniform outside the bracket widened by 1e-12
+decides the edge without the 2^m enumeration, with the same bit.
+Boundary vertices are frozen singleton clusters: they are leaf-split
+so no connectivity ever passes through them, and their angles are
+fixed by the boundary condition.
 
 ``xy_full_update`` changes its triple in place.  The angle law's
 per-group log-cosh terms and normalised CDF grids are memoised in two
@@ -218,7 +221,7 @@ def _groups(tau: XyTriple, u, bond: Dict[Tuple, int]) -> List[List]:
 _FIELDS = (_COS, _SIN)
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=32)
 def _log_cosh_term(bs: float, which: int) -> np.ndarray:
     """log 2cosh(bs * c(x)) on the grid, c = cos (which 0) or sin (which 1).
 
@@ -243,10 +246,16 @@ def _log_density(beta: float, cos_sums: Tuple[float, ...], sin_sums: Tuple[float
 @lru_cache(maxsize=8)
 def _normalised_cdf(beta: float, cos_sums: Tuple[float, ...], sin_sums: Tuple[float, ...]) -> np.ndarray:
     """The trapezoid CDF on the grid, read-only and memoised per law."""
-    logf = _log_density(beta, cos_sums, sin_sums)
-    f = np.exp(logf - logf.max())
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * (f[1:] + f[:-1]))])
-    out = cum / cum[-1]
+    f = _log_density(beta, cos_sums, sin_sums)
+    f -= f.max()
+    np.exp(f, out=f)
+    out = np.empty(_GRID_N + 1)
+    out[0] = 0.0
+    cum = out[1:]
+    np.add(f[1:], f[:-1], out=cum)
+    cum *= 0.5
+    np.cumsum(cum, out=cum)
+    out /= out[-1]
     out.flags.writeable = False
     return out
 
@@ -470,6 +479,30 @@ def _conditional_open_prob(
     return w_open / total
 
 
+_BRACKET_DELTA = 1e-12
+_BRACKET_MAX_EDGES = 14
+
+
+def _bracket_bit(uval: float, p: float, delta: float) -> Optional[int]:
+    """The edge bit ``uval < P(open)`` when the FK bracket decides it, else None.
+
+    In the enumeration of ``_conditional_open_prob`` each configuration
+    with the decided edge open has a closed partner, whose weight it is
+    times p/q, or p/(2q) when opening merges a new block into u's
+    cluster (q = fl(1 - p)); so P(open) lies in [p/(2-p), p].  The
+    enumeration's float error is at most about (2m + 2^(m-1) + 4) 2^-53
+    for m undecided edges (m - 1 roundings per product, 2^(m-1) - 1 per
+    sum of nonnegative terms, then the ratio and the bracket's own
+    arithmetic), under delta = 1e-12 for m <= 14; beyond that callers
+    pass delta = inf, which always defers to the enumeration.
+    """
+    if uval < p / (2.0 - p) - delta:
+        return 1
+    if uval >= p + delta:
+        return 0
+    return None
+
+
 def xy_edge_update(
     tau: XyTriple, u, iota: UpdateRandomness, groups: Groups
 ) -> Tuple[Dict[Tuple, int], Dict[Tuple, int]]:
@@ -481,11 +514,16 @@ def xy_edge_update(
     Monotone under the triple order for shared uniforms.  Returns the
     new omega and eta values on the incident edges; ``groups`` are u's
     (omega, eta) neighbour groups from :func:`_lane_groups`.
+
+    For an edge of weight p the bit is 1 when its uniform is below
+    p/(2-p) - 1e-12 and 0 when it is at least p + 1e-12 (the FK bracket,
+    ``_bracket_bit``); only a uniform in between runs the enumeration.
     """
     graph = tau.graph
     incident = graph.incident[u]
     nbrs = graph.neighbors_of(u)
     beta, alpha, au = tau.beta, tau.alpha, tau.alpha[u]
+    delta = _BRACKET_DELTA if len(incident) <= _BRACKET_MAX_EDGES else math.inf
     new_omega: Dict[Tuple, int] = {}
     new_eta: Dict[Tuple, int] = {}
     for kind, kind_groups, out, slot0 in (
@@ -503,9 +541,11 @@ def xy_edge_update(
         blocks = tuple(block_of[v] for v in nbrs)
         u_linked = 0
         for i, e in enumerate(incident):
-            prob = _conditional_open_prob(p_all[i:], blocks[i:], u_linked, n_blocks)
             uval = iota.edge_uniform(2 * i + slot0)
-            bit = 1 if uval < prob else 0
+            bit = _bracket_bit(uval, p_all[i], delta)
+            if bit is None:
+                prob = _conditional_open_prob(p_all[i:], blocks[i:], u_linked, n_blocks)
+                bit = 1 if uval < prob else 0
             out[e] = bit
             if bit:
                 u_linked |= 1 << blocks[i]

@@ -673,7 +673,7 @@ def test_memoised_arrays_are_read_only():
 def test_angle_law_caches_stay_within_their_caps():
     caches = (xy_mod._log_cosh_term, xy_mod._normalised_cdf)
     caps = [c.cache_info().maxsize for c in caches]
-    assert caps == [16, 8]
+    assert caps == [32, 8]
     window = auto_window(build_box(2, 2), -8.0, 0.0, "xy", beta=1.0, boundary="+1")
     for seed in range(3):
         sandwich_run(window, seed)
@@ -721,6 +721,122 @@ def test_open_prob_matches_set_based_enumeration():
         assert got.hex() == _set_based_open_prob(p_list, blocks, linked, n_blocks).hex()
     info = xy_mod._link_scales.cache_info()
     assert info.maxsize is not None and info.currsize <= info.maxsize
+
+
+def _edge_update_before(tau, u, iota, groups):
+    """``xy_edge_update`` as it was before the FK bracket rule: every
+    incident edge runs the exact enumeration."""
+    graph = tau.graph
+    incident = graph.incident[u]
+    nbrs = graph.neighbors_of(u)
+    beta, alpha, au = tau.beta, tau.alpha, tau.alpha[u]
+    new_omega, new_eta = {}, {}
+    for kind, kind_groups, out, slot0 in (
+        ("omega", groups[0], new_omega, 0),
+        ("eta", groups[1], new_eta, 1),
+    ):
+        block_of = {}
+        for gi, g in enumerate(kind_groups):
+            for t in g:
+                block_of[t] = gi
+        n_blocks = len(kind_groups)
+        p_all = [xy_mod._edge_weight_p(beta, au, alpha[v], kind) for v in nbrs]
+        blocks = tuple(block_of[v] for v in nbrs)
+        u_linked = 0
+        for i, e in enumerate(incident):
+            prob = _conditional_open_prob(p_all[i:], blocks[i:], u_linked, n_blocks)
+            uval = iota.edge_uniform(2 * i + slot0)
+            bit = 1 if uval < prob else 0
+            out[e] = bit
+            if bit:
+                u_linked |= 1 << blocks[i]
+    return new_omega, new_eta
+
+
+_DELTA = 1e-12  # the rule's margin, as in xy._BRACKET_DELTA
+
+
+def test_open_prob_lies_in_fk_bracket():
+    # P(open) lies in [p/(2-p), p] for the decided edge's weight p, and
+    # wherever the rule decides an edge its bit is the enumeration's
+    assert xy_mod._BRACKET_DELTA == _DELTA
+    rng = random.Random(17)
+    decided = deferred = 0
+    for _ in range(4000):
+        m = rng.randint(1, 6)
+        n_blocks = rng.randint(1, m + 1)
+        p_list = [rng.choice([0.0, 1.0, 1e-17, rng.random()]) for _ in range(m)]
+        blocks = [rng.randrange(n_blocks) for _ in range(m)]
+        mask = sum(1 << b for b in range(n_blocks) if rng.random() < 0.3)
+        prob = _conditional_open_prob(p_list, blocks, mask, n_blocks)
+        p = p_list[0]
+        lo, hi = p / (2.0 - p), p
+        assert lo - _DELTA / 10 <= prob <= hi + _DELTA / 10, (p_list, blocks, mask, n_blocks)
+        probes = [prob, math.nextafter(prob, 0.0), math.nextafter(prob, 2.0), rng.random()]
+        for end in (lo, hi):
+            probes += [end + f * _DELTA for f in (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)]
+        for uval in probes:
+            if not 0.0 < uval <= 1.0:
+                continue
+            bit = xy_mod._bracket_bit(uval, p, _DELTA)
+            if bit is None:
+                deferred += 1
+            else:
+                decided += 1
+                assert bit == (1 if uval < prob else 0), (uval, p_list, blocks, mask)
+            # an infinite margin defers every edge to the enumeration
+            assert xy_mod._bracket_bit(uval, p, math.inf) is None
+    assert decided > 10000 and deferred > 10000
+
+
+class _EdgeUniforms:
+    """Randomness whose edge uniforms are given by slot."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def edge_uniform(self, slot):
+        return self.values[slot]
+
+
+@pytest.mark.parametrize("radius", [2, 3])
+@pytest.mark.parametrize("boundary", [BC_PLUS_ONE, BC_PLUS_I])
+@pytest.mark.parametrize("beta", [0.3, 1.0, 2.0])
+def test_edge_update_matches_full_enumeration(monkeypatch, beta, boundary, radius):
+    # every lane update of a sandwich run gives the enumeration's edges
+    checked = []
+    original = xy_mod.xy_edge_update
+
+    def compared(tau, u, iota, groups):
+        got = original(tau, u, iota, groups)
+        assert got == _edge_update_before(tau, u, iota, groups)
+        checked.append(u)
+        return got
+
+    monkeypatch.setattr(xy_mod, "xy_edge_update", compared)
+    window = auto_window(build_box(2, radius), -3.0, 0.0, "xy", beta=beta, boundary=boundary)
+    for seed in range(2):
+        sandwich_run(window, seed)
+    assert len(checked) > 100
+
+    # uniforms within 2 delta of either end of each edge's bracket
+    g = box_graph(build_box(2, radius))
+    rng = random.Random(f"{beta}:{boundary}:{radius}")
+    for _ in range(150):
+        tau = _random_triple(g, beta, rng)
+        for n in g.frozen:
+            tau.alpha[n] = xy_mod.boundary_angle(boundary)
+        u = rng.choice(g.free)
+        groups = _lane_groups(tau, u)
+        values = {}
+        for i, v in enumerate(g.neighbors_of(u)):
+            for slot0, kind in ((0, "omega"), (1, "eta")):
+                p = xy_mod._edge_weight_p(beta, tau.alpha[u], tau.alpha[v], kind)
+                end = rng.choice([p / (2.0 - p), p])
+                uval = end + rng.choice([-2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0]) * _DELTA
+                values[2 * i + slot0] = min(1.0, max(2.0**-53, uval))
+        iota = _EdgeUniforms(values)
+        assert xy_edge_update(tau, u, iota, groups) == _edge_update_before(tau, u, iota, groups)
 
 
 def _grid_bound(law):
