@@ -334,10 +334,6 @@ class DecouplingReport:
     window_errors: int
     resampled_events: int
 
-    @property
-    def pass_fraction(self) -> float:
-        return self.identical / self.trials if self.trials else float("nan")
-
 
 def decoupling_check(
     v: Tuple[int, ...],

@@ -108,7 +108,7 @@ class CellWindow:
         j, x = cell
         return (
             j == self.j_min
-            or j == self.j_max
+            or (j == self.j_max and j < 0)  # time 0 is the present, not a cut
             or any(abs(xi) == self.x_radius for xi in x)
         )
 

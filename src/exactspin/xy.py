@@ -10,22 +10,22 @@ reconstruction is a test reference (``tests/oracle.py``).
 A single-site update resamples the angle from its conditional density
 (a product of cosh terms over the omega- and eta-connectivity groups
 of the neighbours), through a 2048-interval grid interpolant of its CDF
-whose distance from the exact CDF is bounded in ``AngleLawHandle``;
-then it resamples the incident edges one at a time from their
-exact conditionals with the not-yet-resampled incident edges summed
-out.  That conditional lies in the FK bracket [p/(2-p), p] of the
-edge's weight p, so a uniform outside the bracket widened by 1e-12
-decides the edge without the 2^m enumeration, with the same bit.
-Boundary vertices are frozen singleton clusters: they are leaf-split
-so no connectivity ever passes through them, and their angles are
-fixed by the boundary condition.
+whose distance from the exact CDF is bounded in ``AngleLawHandle``.  A
+matched draw reads its digit cell off a SIMD cosh-product CDF on the
+same grid when u lies 1e-9 inside the cell there, which certifies the
+exact CDF's cell (``AngleLawHandle.matched_cell``).  Then the incident
+edges are resampled one at a time from their exact conditionals with
+the not-yet-resampled incident edges summed out.  That conditional lies
+in the FK bracket [p/(2-p), p] of the edge's weight p, so a uniform
+outside the bracket widened by 1e-12 decides the edge without the 2^m
+enumeration, with the same bit.  Boundary vertices are frozen singleton
+clusters: they are leaf-split so no connectivity ever passes through
+them, and their angles are fixed by the boundary condition.
 
-``xy_full_update`` changes its triple in place.  The angle law's
-per-group log-cosh terms and normalised CDF grids are memoised in two
-small LRU caches of read-only arrays, keyed on the exact floats the
-uncached formula reads, so a cache hit returns the same bits; the edge
-enumeration's per-configuration powers of two, which depend only on the
-integer block structure, are memoised the same way.
+``xy_full_update`` changes its triple in place.  The log-cosh terms and
+the cosh-product CDF grids are memoised in small LRU caches of read-only
+arrays, keyed on the exact floats the uncached formula reads, so a hit
+returns the same bits; so are the edge enumeration's powers of two.
 
 An update at u reads only alpha on N(u), u's (omega, eta) neighbour
 groups, beta and the event's randomness.  So when two sandwich lanes
@@ -57,8 +57,8 @@ HALF_PI = math.pi / 2.0
 _GRID_N = 2048
 _XS = np.linspace(0.0, HALF_PI, _GRID_N + 1)
 _XS_LIST: List[float] = _XS.tolist()
-_COS = np.cos(_XS)
-_SIN = np.sin(_XS)
+_CELL_DELTA = 1e-9  # margin of AngleLawHandle.matched_cell's certificate
+_FIELDS = np.stack((np.cos(_XS), np.sin(_XS)))
 
 
 def _node_key(node):
@@ -218,10 +218,7 @@ def _groups(tau: XyTriple, u, bond: Dict[Tuple, int]) -> List[List]:
     return groups
 
 
-_FIELDS = (_COS, _SIN)
-
-
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=16)
 def _log_cosh_term(bs: float, which: int) -> np.ndarray:
     """log 2cosh(bs * c(x)) on the grid, c = cos (which 0) or sin (which 1).
 
@@ -243,12 +240,8 @@ def _log_density(beta: float, cos_sums: Tuple[float, ...], sin_sums: Tuple[float
     return out
 
 
-@lru_cache(maxsize=8)
-def _normalised_cdf(beta: float, cos_sums: Tuple[float, ...], sin_sums: Tuple[float, ...]) -> np.ndarray:
-    """The trapezoid CDF on the grid, read-only and memoised per law."""
-    f = _log_density(beta, cos_sums, sin_sums)
-    f -= f.max()
-    np.exp(f, out=f)
+def _trapezoid_cdf(f: np.ndarray) -> np.ndarray:
+    """The normalised trapezoid cumulative of grid density f, read-only."""
     out = np.empty(_GRID_N + 1)
     out[0] = 0.0
     cum = out[1:]
@@ -258,6 +251,18 @@ def _normalised_cdf(beta: float, cos_sums: Tuple[float, ...], sin_sums: Tuple[fl
     out /= out[-1]
     out.flags.writeable = False
     return out
+
+
+@lru_cache(maxsize=4)
+def _fast_cdf(beta: float, cos_sums: Tuple[float, ...], sin_sums: Tuple[float, ...]) -> Optional[np.ndarray]:
+    """The trapezoid CDF from SIMD cosh products (groups with s = 0 are a
+    constant factor, dropped), memoised; None if L > 700 could overflow."""
+    if beta * (sum(cos_sums) + sum(sin_sums)) > 700.0:
+        return None
+    terms = [(0, beta * s) for s in cos_sums if s] + [(1, beta * s) for s in sin_sums if s]
+    rows = _FIELDS[[which for which, _ in terms]]
+    rows *= np.array([bs for _, bs in terms]).reshape(-1, 1)
+    return _trapezoid_cdf(np.cosh(rows, out=rows).prod(axis=0))
 
 
 @dataclass
@@ -280,6 +285,8 @@ class AngleLawHandle:
     |(log f)''| <= L^2 + L; normalising doubles that, and linear
     interpolation of F adds h^2 L (L + 2/pi) / 8, as max f / int f is at
     most L + 2/pi.)  That is 1.7e-6 at L = 1.4 and 2.4e-5 at L = 8.
+    ``matched_cell`` certifies a matched draw's cell on a cosh-product
+    grid within 1e-11 of F_grid, so only the other draws build F_grid.
     """
 
     cos_sums: Tuple[float, ...]
@@ -289,15 +296,16 @@ class AngleLawHandle:
 
     def cdf_grid(self) -> np.ndarray:
         if self._cdf_grid is None:
-            self._cdf_grid = _normalised_cdf(self.beta, self.cos_sums, self.sin_sums)
+            f = _log_density(self.beta, self.cos_sums, self.sin_sums)
+            f -= f.max()
+            np.exp(f, out=f)
+            self._cdf_grid = _trapezoid_cdf(f)
         return self._cdf_grid
 
     def cdf(self, x: float) -> float:
-        """F_grid(x), by the arithmetic ``np.interp(x, _XS, F)`` does on
-        the grid interval [x_j, x_j+1) that holds x: F_j at a node, the
-        end values outside the grid, else slope*(x - x_j) + F_j with
-        slope = (F_j+1 - F_j)/(x_j+1 - x_j).  Same bits for every non-NaN x,
-        without a numpy call per point."""
+        """F_grid(x) in Python floats, bit for bit ``np.interp(x, _XS, F)``
+        for every non-NaN x: the end values outside the grid, else
+        (F_j+1 - F_j)/(x_j+1 - x_j) * (x - x_j) + F_j on [x_j, x_j+1)."""
         F = self.cdf_grid()
         xs = _XS_LIST
         if x <= xs[0]:
@@ -319,11 +327,33 @@ class AngleLawHandle:
             return 0.0
         if i > _GRID_N:
             return HALF_PI
-        f0, f1 = F[i - 1], F[i]
-        x0, x1 = _XS[i - 1], _XS[i]
+        f0, f1 = F.item(i - 1), F.item(i)
+        x0, x1 = _XS_LIST[i - 1], _XS_LIST[i]
         if f1 <= f0:
-            return float(x1)
-        return float(x0 + (x1 - x0) * (u - f0) / (f1 - f0))
+            return x1
+        return x0 + (x1 - x0) * (u - f0) / (f1 - f0)
+
+    def matched_cell(self, u: float, k: int) -> Optional[int]:
+        """The depth-k digit cell [a, b) of ``inverse(u)``, or None: it is
+        read off F_fast (``_fast_cdf``) by this handle's arithmetic and
+        returned only if u >= F_fast(a) + delta and u <= F_fast(b) - delta,
+        delta = 1e-9 (end cells skip the outer check).  Per node the two
+        grids' densities differ by rho <= (m + 16)(L + m + 1) 2^-53 (m
+        groups; a few ulp per libm or SIMD factor, the log sum's roundings)
+        and each cumsum adds at most 2048 roundings, so |F_fast - F_grid|
+        <= 2 rho + 8200 * 2^-53: 1e-12 at m = L = 8, 6e-12 at m = 16,
+        L = 700.  So u lies delta/2 inside F_grid(a) and F_grid(b), at least
+        3e-13 of angle (F_grid rises at most 1 per step), far above the
+        inverse's rounding: ``inverse(u)`` is in [a, b) too."""
+        F = _fast_cdf(self.beta, self.cos_sums, self.sin_sums)
+        if F is None:
+            return None
+        fast = AngleLawHandle(self.cos_sums, self.sin_sums, self.beta, F)
+        c = _cell_search(fast.inverse(u), k)
+        a, b = _angle_cell_bounds(c, k)
+        lower_ok = c == 0 or u >= fast.cdf(a) + _CELL_DELTA
+        upper_ok = c == 10**k - 1 or u <= fast.cdf(b) - _CELL_DELTA
+        return c if lower_ok and upper_ok else None
 
 
 Groups = Tuple[List[List], List[List]]
@@ -368,6 +398,20 @@ def _angle_cell_bounds(c: int, k: int) -> Tuple[float, float]:
     return (c / tenk) * HALF_PI, ((c + 1) / tenk) * HALF_PI
 
 
+def _cell_search(x: float, k: int) -> int:
+    """The depth-k digit cell [a, b) that holds x, end cells clamping."""
+    top = 10**k - 1
+    c = max(0, min(top, digit_cell(x / HALF_PI, k)))
+    a, b = _angle_cell_bounds(c, k)
+    while x < a and c > 0:
+        c -= 1
+        a, b = _angle_cell_bounds(c, k)
+    while x >= b and c < top:
+        c += 1
+        a, b = _angle_cell_bounds(c, k)
+    return c
+
+
 def xy_angle_update(
     tau: XyTriple, u, iota: UpdateRandomness, k: int, eps: float, groups: Groups
 ) -> float:
@@ -376,29 +420,19 @@ def xy_angle_update(
     Digit cells partition [0, pi/2] into 10^k equal slots (digits of
     the normalized coordinate).  Monotone in the triple for fixed
     randomness; on the matching branch the value depends only on
-    (cell, u_refine).
+    (cell, u_refine), so ``matched_cell`` may supply the cell.
     """
     if not (0 <= k <= MAX_DIGITS):
         raise ValueError(f"digit depth k must be in [0, {MAX_DIGITS}]")
     law = xy_angle_law(tau, u, groups)
-    x1 = law.inverse(iota.u_primary)
-    c = digit_cell(x1 / HALF_PI, k)
-    c = max(0, min(10**k - 1, c))
+    matched = iota.b_match(eps) == 0
+    c = law.matched_cell(iota.u_primary, k) if matched else None
+    if c is None:
+        c = _cell_search(law.inverse(iota.u_primary), k)
     a, b = _angle_cell_bounds(c, k)
-    while x1 < a and c > 0:
-        c -= 1
-        a, b = _angle_cell_bounds(c, k)
-    while x1 >= b and c < 10**k - 1:
-        c += 1
-        a, b = _angle_cell_bounds(c, k)
-
-    if iota.b_match(eps) == 0:
-        v = snap(a + (b - a) * iota.u_refine, VALUE_GRID)
-        return min(HALF_PI, max(0.0, v))
-
-    fa, fb = law.cdf(a), law.cdf(b)
+    fa, fb = (0.0, 0.0) if matched else (law.cdf(a), law.cdf(b))
     span = fb - fa
-    if span <= 0.0:
+    if span <= 0.0:  # matched, or a cell of no mass: uniform on the cell
         v = snap(a + (b - a) * iota.u_refine, VALUE_GRID)
         return min(HALF_PI, max(0.0, v))
 

@@ -153,6 +153,12 @@ def test_star_zero_cluster_rejects_outside_origin():
 
 def test_cluster_touches_boundary():
     win = _window(j_min=-3, radius=2)
-    assert cluster_touches_boundary({(0, (0, 0))}, win)  # j_max boundary
+    # time 0 is the present, so the j_max = 0 face is no window edge
+    assert not cluster_touches_boundary({(0, (0, 0))}, win)
     assert cluster_touches_boundary({(-3, (0, 0))}, win)
+    assert cluster_touches_boundary({(-1, (2, 0))}, win)
     assert not cluster_touches_boundary({(-1, (0, 0))}, win)
+    # a window that stops short of the present is cut at j_max
+    past = CellWindow(j_min=-3, j_max=-1, x_radius=2, d=2)
+    assert cluster_touches_boundary({(-1, (0, 0))}, past)
+    assert not cluster_touches_boundary({(-2, (0, 0))}, past)

@@ -151,19 +151,24 @@ def test_traced_xy_attributes_are_called(monkeypatch):
     # xy.AngleLawHandle.cdf_grid and xy.XyTriple.copy: neighbour groups
     # once per lane and bond field, one lane update per event and lane
     # except at the events where both lanes read the same inputs (one
-    # update there, copied), each in place, and no triple copy in the loop
+    # update there, copied), each in place, and no triple copy in the loop.
+    # It counts a grid build as a cdf_grid call on a handle without its
+    # grid: the builds are the unmatched draws plus the matched draws
+    # whose cell matched_cell could not certify
     window = cftp.auto_window(build_box(2, 2), -8.0, 0.0, "xy", 0.3, boundary="+1")
     shared, lo_ref, hi_ref = _shared_events(window, seed=3)
-    calls = {"xy_full_update": 0, "_groups": 0, "cdf_grid": 0, "copy": 0}
+    calls = {"xy_full_update": 0, "_groups": 0, "cdf_grid": 0, "copy": 0,
+             "matched_cell": 0, "uncertified": 0}
 
     def counting(owner, name):
         original = getattr(owner, name)
 
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            calls[name] += name != "cdf_grid" or args[0]._cdf_grid is None
             out = original(*args, **kwargs)
             if name == "xy_full_update":
                 assert out is args[0]  # the lane itself, updated in place
+            calls["uncertified"] += name == "matched_cell" and out is None
             return out
 
         monkeypatch.setattr(owner, name, wrapper)
@@ -172,11 +177,14 @@ def test_traced_xy_attributes_are_called(monkeypatch):
     counting(xy, "_groups")
     counting(xy.AngleLawHandle, "cdf_grid")
     counting(xy.XyTriple, "copy")
+    counting(xy.AngleLawHandle, "matched_cell")
     pair = cftp.sandwich_run(window, seed=3)
     assert 0 < shared < pair.event_count
     assert calls["xy_full_update"] == 2 * pair.event_count - shared
     assert calls["_groups"] == 4 * pair.event_count
-    assert calls["cdf_grid"] >= calls["xy_full_update"]
+    unmatched = calls["xy_full_update"] - calls["matched_cell"]
+    assert 0 < unmatched < calls["matched_cell"]
+    assert calls["cdf_grid"] == unmatched + calls["uncertified"]
     assert calls["copy"] == 0
     # the shared updates leave the lanes as two separate updates do
     for ref, lane in ((hi_ref, pair.top), (lo_ref, pair.bot)):

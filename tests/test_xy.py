@@ -671,9 +671,9 @@ def test_memoised_arrays_are_read_only():
 
 
 def test_angle_law_caches_stay_within_their_caps():
-    caches = (xy_mod._log_cosh_term, xy_mod._normalised_cdf)
+    caches = (xy_mod._log_cosh_term, xy_mod._fast_cdf)
     caps = [c.cache_info().maxsize for c in caches]
-    assert caps == [32, 8]
+    assert caps == [16, 4]
     window = auto_window(build_box(2, 2), -8.0, 0.0, "xy", beta=1.0, boundary="+1")
     for seed in range(3):
         sandwich_run(window, seed)
@@ -864,3 +864,108 @@ def test_angle_cdf_grid_within_stated_bound(beta, a_v):
     bound = _grid_bound(law)
     assert bound < 1e-4
     assert err <= bound
+
+
+
+def _random_law(rng):
+    """A law as ``xy_angle_law`` builds it: beta in [0, 8], d in {1, 2, 3},
+    and the 2d neighbours split into up to four omega- and four eta-groups
+    (angles 0 and pi/2 give zero sums)."""
+    d = rng.choice([1, 2, 3])
+    angles = [rng.choice([0.0, HALF_PI, rng.uniform(0.0, HALF_PI)]) for _ in range(2 * d)]
+
+    def sums(f):
+        groups = [[] for _ in range(rng.randint(0, min(4, 2 * d)))]
+        for a in angles:
+            if groups:
+                rng.choice(groups).append(a)
+        return tuple(math.fsum(f(a) for a in g) for g in groups)
+
+    return AngleLawHandle(cos_sums=sums(math.cos), sin_sums=sums(math.sin),
+                          beta=rng.uniform(0.0, 8.0))
+
+
+def _fast_handle(law):
+    """The law's handle on the cosh-product grid ``matched_cell`` reads."""
+    F = xy_mod._fast_cdf(law.beta, law.cos_sums, law.sin_sums)
+    return AngleLawHandle(law.cos_sums, law.sin_sums, law.beta, F)
+
+
+def test_matched_cell_is_none_or_the_exact_cell():
+    rng = random.Random(11)
+    delta = xy_mod._CELL_DELTA
+    certified = draws = 0
+
+    def check(law, u, k):
+        got = law.matched_cell(u, k)
+        assert got is None or got == xy_mod._cell_search(law.inverse(u), k), (law, u, k)
+        return got is not None
+
+    for _ in range(60):
+        law = _random_law(rng)
+        fast = _fast_handle(law)
+        for k in range(7):
+            for _ in range(10):
+                certified += check(law, rng.random(), k)
+                draws += 1
+            # u within delta of F_fast at an interior cell's ends is never
+            # certified; between delta and 2 delta it may be
+            c = xy_mod._cell_search(law.inverse(rng.random()), k)
+            if not 0 < c < 10**k - 1:
+                continue
+            for end in map(fast.cdf, xy_mod._angle_cell_bounds(c, k)):
+                for t in (-0.9, -0.5, 0.0, 0.5, 0.9):
+                    assert law.matched_cell(end + t * delta, k) is None
+                for t in (-2.0, -1.5, -1.0, 1.0, 1.5, 2.0):
+                    check(law, end + t * delta, k)
+    assert certified >= 0.99 * draws
+
+
+def test_fast_cdf_is_within_a_thousandth_of_delta():
+    rng = random.Random(12)
+    worst = 0.0
+    for _ in range(200):
+        law = _random_law(rng)
+        F = xy_mod._fast_cdf(law.beta, law.cos_sums, law.sin_sums)
+        worst = max(worst, float(np.max(np.abs(F - law.cdf_grid()))))
+    assert worst <= xy_mod._CELL_DELTA / 1000
+
+
+def test_matched_cell_overflow_guard():
+    # beta * (sum of the sums) = 750 > 700: the cosh product could overflow
+    hot = AngleLawHandle(cos_sums=(4.0,), sin_sums=(3.5,), beta=100.0)
+    assert xy_mod._fast_cdf(hot.beta, hot.cos_sums, hot.sin_sums) is None
+    assert all(hot.matched_cell(u, 2) is None for u in (0.0, 0.3, 0.9))
+    # just under the guard the product stays finite (warnings are errors)
+    warm = AngleLawHandle(cos_sums=(3.5, 3.5), sin_sums=(), beta=99.99)
+    assert np.isfinite(_fast_handle(warm).cdf_grid()).all()
+    for u in (0.0, 0.3, 0.9, 0.999):
+        got = warm.matched_cell(u, 2)
+        assert got is None or got == xy_mod._cell_search(warm.inverse(u), 2)
+
+
+def _inverse_before(F, u):
+    """``AngleLawHandle.inverse`` as it was, in numpy-scalar arithmetic."""
+    i = int(np.searchsorted(F, u, side="left"))
+    if i <= 0:
+        return 0.0
+    if i > len(_XS) - 1:
+        return HALF_PI
+    f0, f1 = F[i - 1], F[i]
+    x0, x1 = _XS[i - 1], _XS[i]
+    if f1 <= f0:
+        return float(x1)
+    return float(x0 + (x1 - x0) * (u - f0) / (f1 - f0))
+
+
+def test_inverse_is_the_numpy_scalar_formula_bit_for_bit():
+    rng = random.Random(13)
+    laws = [_random_law(rng) for _ in range(30)]
+    laws.append(AngleLawHandle(cos_sums=(6.0,), sin_sums=(), beta=200.0))  # flat tail
+    for law in laws:
+        F = law.cdf_grid()
+        us = [rng.random() for _ in range(200)] + [0.0, 2.0**-53, 1.0 - 2.0**-53, 1.0]
+        for f in rng.sample(F.tolist(), 20):
+            us += [f, math.nextafter(f, -1.0), math.nextafter(f, 2.0)]
+        for u in us:
+            assert law.inverse(u).hex() == _inverse_before(F, u).hex(), u
