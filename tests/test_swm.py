@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from exactspin import _scalar
 from exactspin._scalar import MEAN_GRID, VALUE_GRID, norm_ppf, snap, swm_draw
 from exactspin.randomness import mix64
 from exactspin.swm import calibrate_matching
@@ -143,6 +144,121 @@ def test_swm_draw_matches_pre_flattening_oracle_bit_for_bit():
                     "unmatched", "saturated cell"}
 
 
+def _counting_loop(monkeypatch):
+    """Route swm_draw's fallback loop through a counter; returns the count."""
+    calls = [0]
+    loop = _scalar._bisect
+
+    def counted(*args):
+        calls[0] += 1
+        return loop(*args)
+
+    monkeypatch.setattr(_scalar, "_bisect", counted)
+    return calls
+
+
+def _assert_oracle_bits(args):
+    v, c, matched = swm_draw(*args)
+    v0, c0, matched0 = _swm_draw_before(*args, set())
+    assert (v.hex(), float(c).hex(), matched) == (v0.hex(), float(c0).hex(), matched0), args
+
+
+def test_swm_draw_jump_matches_the_loop_at_calibrated_depths(monkeypatch):
+    # unmatched draws at the calibrated depth and one deeper, where the
+    # certified jump should replace the bisection loop: same bits as the
+    # loop, and at least 90% of the draws never run it; beta = 0 is the
+    # flat law, calibrated at depth 0
+    loop_calls = _counting_loop(monkeypatch)
+    rng = random.Random(16)
+    n = 0
+    for beta in (0.0, 0.05, 0.1, 0.32, 1.0, 2.0):
+        for d in (1, 2, 3):
+            sig = 0.0 if beta == 0.0 else 1.0 / math.sqrt(4.0 * beta * d)
+            for eps in (0.05, 0.1, 0.3):
+                k0 = calibrate_matching(beta, d, eps)
+                for k in (k0, k0 + 1):
+                    for _ in range(1200):
+                        m = rng.choice([rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0),
+                                        -1.0, 1.0])
+                        args = (m, sig, float(10**k), 10.0**-k, eps, rng.random(),
+                                rng.random(), eps * rng.random())
+                        _assert_oracle_bits(args)
+                        n += 1
+    assert n >= 120_000
+    assert loop_calls[0] <= 0.1 * n, loop_calls[0] / n
+
+
+def _cell_law(m, sig, k, eps, c):
+    """Cell c at digit depth k: its left end a, the spacing s = width / 2^N
+    of the loop's last level (the first level at most 2^-37 wide), the
+    loop's float g on the cell, and the stage-1 uniform that lands at
+    the cell's centre."""
+    w = 10.0**-k
+    a, b = c * w, (c + 1.0) * w
+    width = b - a
+    fa = 0.5 * math.erfc((m - a) / sig * 0.7071067811865476)
+    inv_span = 1.0 / (0.5 * math.erfc((m - b) / sig * 0.7071067811865476) - fa)
+    keep, inv_eps = 1.0 - eps, 1.0 / eps
+
+    def g(x):
+        fcell = (0.5 * math.erfc((m - x) / sig * 0.7071067811865476) - fa) * inv_span
+        return (fcell - keep * (x - a) / width) * inv_eps
+
+    s = width
+    while s > 2.0**-37:
+        s *= 0.5
+    lo, hi = norm_cdf((-1.0 - m) / sig), norm_cdf((1.0 - m) / sig)
+    up = (norm_cdf((a + 0.5 * width - m) / sig) - lo) / (hi - lo)
+    return a, s, g, up
+
+
+def _snap_gap(p):
+    r = p * VALUE_GRID + 0.5
+    r -= math.floor(r)
+    return min(r, 1.0 - r)
+
+
+def test_swm_draw_falls_back_for_each_reason(monkeypatch):
+    # u_refine = g(target) places the root where the certificate must
+    # decline; each case has a control that takes the jump, and every
+    # draw keeps the loop's bits
+    loop_calls = _counting_loop(monkeypatch)
+    m = snap(0.3, MEAN_GRID)
+    beta, d, eps = 1.0, 2, 0.1
+    sig = 1.0 / math.sqrt(4.0 * beta * d)
+    k = calibrate_matching(beta, d, eps) + 1
+    c = 2.0 * 10**(k - 1)  # the cell at x = 0.2
+    a, s, g, up = _cell_law(m, sig, k, eps, c)
+
+    def draws_with_loop(ur, **law):
+        args = dict(m=m, sig=sig, tenk=float(10**k), w=10.0**-k, eps=eps, up=up,
+                    ur=ur, um=0.0)
+        args.update(law)
+        before = loop_calls[0]
+        assert not swm_draw(**args)[2]
+        _assert_oracle_bits(tuple(args.values()))
+        return loop_calls[0] > before
+
+    j = next(i for i in range(2000, 6000) if _snap_gap(a + i * s) > 0.01)
+    # a lattice point inside the bracket; the control sits between points
+    assert draws_with_loop(g(a + j * s))
+    assert not draws_with_loop(g(a + (j - 0.5) * s))
+    # the lattice point above the bracket snaps within 2e-3 grid steps of
+    # a rounding edge
+    e = next(i for i in range(j, j + 5000) if _snap_gap(a + i * s) < 0.002)
+    assert draws_with_loop(g(a + (e - 0.5) * s))
+    assert not draws_with_loop(g(a + (e + 0.5) * s))
+    # the bracket is not certified: the root sits at an end of the cell
+    assert draws_with_loop(1.0)
+    assert draws_with_loop(2.0**-54)
+    # g is not monotone on [-1, 0) at beta = 2, d = 3, depth 0 (3 is
+    # calibrated), though Newton's bracket would certify and clear the
+    # lattice; the control is the calibrated cell
+    steep = dict(m=snap(-0.52, MEAN_GRID), sig=1.0 / math.sqrt(24.0), tenk=1.0, w=1.0, up=0.23)
+    assert draws_with_loop(0.47, **steep)
+    assert not draws_with_loop(0.47)
+
+
 def _draw(mean, beta, k, eps, iota):
     """swm_draw at a neighbour mean under the d = 2 (D = 4) law of beta."""
     sig = 0.0 if beta == 0.0 else 1.0 / math.sqrt(8.0 * beta)
@@ -177,6 +293,8 @@ def test_norm_ppf_matches_recorded_bits():
     for rows in table.values():
         for p, x in rows:
             assert norm_ppf(float.fromhex(p)).hex() == x, p
+            # the binding swm_draw calls, without the range check
+            assert _scalar._inv_cdf(float.fromhex(p), 0.0, 1.0).hex() == x, p
 
 
 def test_norm_cdf_ppf_roundtrip():
