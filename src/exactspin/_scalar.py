@@ -26,7 +26,7 @@ way.
 from __future__ import annotations
 
 import math
-from statistics import NormalDist, _normal_dist_inv_cdf
+from statistics import _normal_dist_inv_cdf
 
 _INV_SQRT2 = 0.7071067811865476
 _INV_SQRT_2PI = 0.3989422804014327
@@ -47,10 +47,8 @@ def snap(x: float, grid: float) -> float:
     return math.floor(x * grid + 0.5) / grid
 
 
-# defined on the open interval (0, 1); swm_draw clamps p into it
-norm_ppf = NormalDist().inv_cdf
-# norm_ppf's body without its range check, which swm_draw's clamp makes
-# redundant: the same bits, without a Python frame per call
+# the body of NormalDist().inv_cdf without its check that 0 < p < 1,
+# which swm_draw's clamp ensures: the same bits, without a Python frame
 _inv_cdf = _normal_dist_inv_cdf
 
 # module-level names for swm_draw's hot path

@@ -171,10 +171,11 @@ def _xy_steps(hi, lo, events, k, eps):
         yield ev
 
 
-def _swm_pair_fields(lat: SwmLattice, top, bot) -> Tuple[SwmField, SwmField]:
-    """The engine's final lanes as vertex-keyed spin records."""
-    return (SwmField(dict(zip(lat.vertices, top.tolist()))),
-            SwmField(dict(zip(lat.vertices, bot.tolist()))))
+def _swm_pair_fields(lat: SwmLattice, top, bot, sites) -> Tuple[SwmField, SwmField]:
+    """The engine's final lanes at ``sites`` as vertex-keyed spin records."""
+    idx = [lat.index[v] for v in sites]
+    return (SwmField(dict(zip(sites, top[idx].tolist()))),
+            SwmField(dict(zip(sites, bot[idx].tolist()))))
 
 
 @lru_cache(maxsize=32)
@@ -185,13 +186,22 @@ def _region_lattice(region: BoxRegion) -> SwmLattice:
 
 
 def sandwich_run(
-    window: WindowSpec, seed: int, origin: Optional[Vertex] = None
+    window: WindowSpec,
+    seed: int,
+    origin: Optional[Vertex] = None,
+    targets: Optional[Sequence[Vertex]] = None,
 ) -> SandwichPair:
     """Evolve both extremal starts under the identical event stream.
 
     The sandwich order is asserted after every update (hard failure on
     violation).  With ``origin`` given, the pair records the equality
-    indicator at that vertex after each of its updates.
+    indicator at that vertex after each of its updates.  ``targets``
+    names the only sites the caller reads: SWM then runs just their
+    backward dependency cone (:func:`exactspin.engine.swm_sandwich`) and
+    its pair holds only the targets, so reading another site raises
+    KeyError; ``origin`` must then be a target.  An XY update reads
+    connectivity across the whole graph, so its cone is the whole box
+    and XY runs every event whatever ``targets`` says.
     """
     if window.model == MODEL_SWM:
         lat = _region_lattice(window.region)
@@ -208,8 +218,10 @@ def sandwich_run(
             bc_top=bc_top,
             bc_bot=bc_bot,
             origin=origin,
+            targets=targets,
         )
-        top, bot = _swm_pair_fields(lat, res.top, res.bot)
+        sites = lat.vertices if targets is None else list(targets)
+        top, bot = _swm_pair_fields(lat, res.top, res.bot, sites)
         return SandwichPair(
             window, top, bot,
             origin_records=res.origin_records, event_count=res.event_count,
@@ -284,6 +296,8 @@ def cftp_sample(
     if not (math.isfinite(t_max) and t_max > 0.0):
         raise ValueError(f"t_max must be finite and > 0, got {t_max!r}")
     target = list(target)
+    if not target:
+        raise ValueError("empty target")
     for v in target:
         if not region.contains(v):
             raise ValueError(f"target vertex {v} outside the region")
@@ -293,7 +307,7 @@ def cftp_sample(
         window = auto_window(
             region, -t, 0.0, model, beta, eps=eps, boundary=boundary, k=k
         )
-        pair = sandwich_run(window, seed)
+        pair = sandwich_run(window, seed, targets=target)
         done = True
         for v in target:
             if pair.coalesced(v):
@@ -368,8 +382,10 @@ def coupling_probability(
     Extremal boundary conditions frozen outside the box, matching the
     sandwich construction.
     """
-    if not (0.0 <= s <= t):
-        raise ValueError("need 0 <= s <= t")
+    if not (0.0 <= s <= t and math.isfinite(t)):
+        raise ValueError("need 0 <= s <= t < inf")
+    if replicas < 1:
+        raise ValueError(f"replicas must be >= 1, got {replicas!r}")
     region = build_box(d, n)
     origin = (0,) * d
     hits = 0
@@ -382,7 +398,7 @@ def coupling_probability(
             region, -float(t), -float(s) if not throughout else 0.0,
             model, beta, eps=eps, k=k,
         )
-        pair = sandwich_run(window, seed, origin=origin)
+        pair = sandwich_run(window, seed, origin=origin, targets=[origin])
         if throughout:
             eq = _origin_equal_throughout(pair.origin_records, s, False)
             nc = not eq

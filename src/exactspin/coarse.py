@@ -385,6 +385,8 @@ def decoupling_check(
         j_min = min((j for (j, _) in ls.shield), default=0)
         T = params.L * (1 - j_min) + params.n_L
 
+        anchor = tuple(a - c for a, c in zip(v, center))
+
         def value_at(reseed):
             res = swm_sandwich(
                 lat,
@@ -396,8 +398,9 @@ def decoupling_check(
                 seed=seed_i,
                 reseed=reseed,
                 offset=center,
+                targets=[anchor],
             )
-            idx = lat.index[tuple(a - c for a, c in zip(v, center))]
+            idx = lat.index[anchor]
             if res.top[idx] != res.bot[idx]:
                 raise RuntimeError(
                     "anchor failed to coalesce inside its shielded window"

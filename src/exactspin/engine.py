@@ -12,7 +12,13 @@ sums the site's neighbours inline and hands their mean to
 only ever sees Python floats; when the two lanes' sums agree, one draw
 serves both.  Per-site stream keys come from one array hash,
 :func:`exactspin.randomness.vertex_keys`.  The run's final lanes are
-returned as arrays.
+returned as arrays.  A caller that reads only some sites names them as
+``targets``.  A backward scan over the last chunk's events then keeps
+the events at a target, and, further back, the events at each
+neighbour of a site whose kept event reads that neighbour: the targets'
+backward dependency cone.  Only those run, with the same bits at the
+targets, and the other sites come back as NaN (see
+:func:`swm_sandwich`).
 """
 
 from __future__ import annotations
@@ -168,6 +174,41 @@ def _event_values(times, sidx, up, ur, um):
                        ur[s].tolist(), um[s].tolist())
 
 
+def _cone_mask(nbrs, sidx, targets) -> np.ndarray:
+    """Which of the time-ordered events at sites ``sidx`` lie in the
+    backward dependency cone of the site indices ``targets``.
+
+    The scan runs from the last event to the first with a live set that
+    starts as ``targets``: an event at a live site is kept and makes
+    that site's neighbours live, an event elsewhere is dropped, and once
+    every site is live every earlier event is kept.
+    """
+    keep = bytearray(sidx.size)
+    live = [False] * len(nbrs)
+    for i in targets:
+        live[i] = True
+    missing = live.count(False)
+    for end in range(sidx.size, 0, -1024):
+        p = end
+        for s in reversed(sidx[max(0, end - 1024):end].tolist()):
+            p -= 1
+            if live[s]:
+                keep[p] = 1
+                for nj in nbrs[s]:
+                    if not live[nj]:
+                        live[nj] = True
+                        missing -= 1
+                if not missing:
+                    keep[:p] = b"\x01" * p
+                    return np.frombuffer(keep, np.bool_)
+    return np.frombuffer(keep, np.bool_)
+
+
+# a memory chunk spans _CHUNK_EVENTS / (number of sites) time units,
+# about that many events at unit rate per site
+_CHUNK_EVENTS = 2.0e6
+
+
 def _chunk_bounds(
     t_start: float, t_end: float, span: float, cut: float
 ) -> Iterator[Tuple[float, float]]:
@@ -208,6 +249,7 @@ def swm_sandwich(
     slab_lo: float = math.inf,
     origin: Optional[Vertex] = None,
     offset: Optional[Vertex] = None,
+    targets: Optional[Sequence[Vertex]] = None,
 ) -> SwmRunResult:
     """Coupled top/bottom trajectories over region x (t_start, t_end].
 
@@ -216,8 +258,23 @@ def swm_sandwich(
     on the core at the slab entry time and after every in-slab event
     (the run exits early on the first failure).  ``origin`` collects the
     per-update equality record at one site for coupling statistics.
+
+    ``targets`` names the only sites the caller reads.  The last memory
+    chunk then runs only the events in the targets' backward dependency
+    cone (:func:`_cone_mask`); earlier chunks run in full.  A kept event
+    reads only neighbours that were live when the backward scan reached
+    it, and each of those values comes from an earlier kept event or
+    the chunk's start, since the live set only grows backwards.  So the
+    targets' values, the ``origin`` records at a target and the order
+    check of every kept event have the bits of the full run.  The other
+    sites come back as NaN and ``event_count`` counts the kept events.
+    ``targets`` with a ``core_mask``, or without the ``origin``, raises
+    ValueError.
     """
     check_window(t_start, t_end)
+    if targets is not None and (core_mask is not None
+                                or origin is not None and origin not in targets):
+        raise ValueError("targets exclude a core_mask and need the origin among them")
     S = lattice.size
     deg = 2 * lattice.d
     top = [1.0] * S if init_top is None else np.asarray(init_top, np.float64).tolist()
@@ -234,13 +291,17 @@ def swm_sandwich(
     neq = sum(1 for a, b, c in zip(top, bot, core) if c and a != b)
     origin_idx = -1 if origin is None else lattice.index[origin]
     records: List[Tuple[float, int]] = []
-    span = max(1.0, 2.0e6 / S)
+    cone = None if targets is None else [lattice.index[v] for v in targets]
+    span = max(1.0, _CHUNK_EVENTS / S)
     nev = 0
     for lo, hi in _chunk_bounds(t_start, t_end, span, slab_lo):
         in_slab = lo >= slab_lo
         if in_slab and neq:
             break  # the core is split at slab entry
         times, sidx, _, up, ur, um = sorted_events(vkeys, lo, hi)
+        if cone is not None and hi == t_end:
+            keep = _cone_mask(lattice.nbrs, sidx, cone)
+            times, sidx, up, ur, um = (a[keep] for a in (times, sidx, up, ur, um))
         nev += times.size
         events = _event_values(times, sidx, up, ur, um)
         neq = _swm_chunk(lattice, top, bot, events, bsum_t, bsum_b, law, core, neq,
@@ -249,5 +310,9 @@ def swm_sandwich(
             nev -= sum(1 for _ in events)  # the events after the exit never ran
             break
     mixed_ok = neq == 0 if monitoring else None  # covers slabs containing no event
-    return SwmRunResult(np.array(top), np.array(bot), mixed_ok=mixed_ok,
-                        origin_records=records, event_count=nev)
+    top, bot = np.array(top), np.array(bot)
+    if cone is not None:
+        stale = np.ones(S, np.bool_)
+        stale[cone] = False
+        top[stale] = bot[stale] = np.nan
+    return SwmRunResult(top, bot, mixed_ok=mixed_ok, origin_records=records, event_count=nev)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from exactspin import cftp
 from exactspin.cftp import (
     MODEL_SWM,
     MODEL_XY,
@@ -295,3 +296,96 @@ def test_coupling_long_time_union_bound():
     bound = 100 * delta * n * rhs.probability
     slack = 3 * (lhs.stderr + 100 * delta * n * rhs.stderr)
     assert lhs.probability <= bound + slack
+
+
+
+def _full_lanes(monkeypatch):
+    """Make cftp's own sandwich runs ignore ``targets``; returns the list
+    of the targets its callers asked for."""
+    asked = []
+    real = cftp.sandwich_run
+
+    def full(window, seed, origin=None, targets=None):
+        asked.append(targets)
+        return real(window, seed, origin=origin)
+
+    monkeypatch.setattr(cftp, "sandwich_run", full)
+    return asked
+
+
+def test_cftp_sample_on_the_cone_matches_full_lanes(monkeypatch):
+    # values, certificates and windows keep their bits; the rounds run
+    # fewer events than the full-lane rounds
+    cases = [
+        (build_box(1, 6), [(0,)], 0.32, 1.0),
+        (build_box(2, 4), [(0, 0), (2, -3)], 0.2, 0.5),
+        (build_box(2, 3), [(1, 1)], 1.0, -0.3),
+        (build_box(3, 2), [(0, 0, 0)], 0.0, None),
+    ]
+
+    def bits(res):
+        return ({v: x.hex() for v, x in res.values.items()}, res.certificate,
+                res.window_t, res.timed_out)
+
+    def samples():
+        return [bits(cftp_sample(box, target, MODEL_SWM, beta, seed, boundary=bc))
+                for box, target, beta, bc in cases for seed in range(8)]
+
+    cone = samples()
+    asked = _full_lanes(monkeypatch)
+    assert samples() == cone
+    assert {tuple(a) for a in asked} == {tuple(target) for _, target, _, _ in cases}
+
+
+def test_coupling_probability_on_the_cone_matches_full_lanes(monkeypatch):
+    settings = [
+        dict(n=2, t=4.0, s=0.0, d=2, beta=0.02),
+        dict(n=3, t=6.0, s=2.0, d=2, beta=0.1, truncation=1),
+        dict(n=2, t=4.0, s=1.0, d=1, beta=0.1, throughout=True),
+        dict(n=2, t=4.0, s=0.0, d=3, beta=0.01),
+    ]
+    real = cftp.sandwich_run
+    shrunk = []
+
+    def checked(window, seed, origin=None, targets=None):
+        # the origin's value and records match the full-lane run's bits,
+        # and no other site can be read
+        pair = real(window, seed, origin=origin, targets=targets)
+        ref = real(window, seed, origin=origin)
+        assert targets == [origin] and list(pair.top.values) == [origin]
+        for lane, ref_lane in ((pair.top, ref.top), (pair.bot, ref.bot)):
+            assert lane.values[origin].hex() == ref_lane.values[origin].hex()
+        assert pair.origin_records == ref.origin_records
+        shrunk.append(pair.event_count < ref.event_count)
+        return pair
+
+    def estimates():
+        return [coupling_probability(model=MODEL_SWM, replicas=30, seed0=7, **kw)
+                for kw in settings]
+
+    monkeypatch.setattr(cftp, "sandwich_run", checked)
+    cone = estimates()
+    assert len(shrunk) == 120 and any(shrunk)
+    monkeypatch.undo()
+    _full_lanes(monkeypatch)
+    assert estimates() == cone
+    assert all(0.0 < e.probability < 1.0 for e in cone)
+
+
+def test_coalesced_outside_the_targets_raises_key_error():
+    window = auto_window(build_box(2, 2), -4.0, 0.0, MODEL_SWM, beta=0.5)
+    pair = sandwich_run(window, seed=3, targets=[(1, 0)])
+    pair.coalesced((1, 0))
+    with pytest.raises(KeyError):
+        pair.coalesced((0, 0))
+    assert list(pair.top.values) == list(pair.bot.values) == [(1, 0)]
+
+
+def test_empty_target_and_bad_coupling_inputs_raise_value_error():
+    box = build_box(1, 2)
+    with pytest.raises(ValueError, match="target"):
+        cftp_sample(box, [], MODEL_SWM, beta=0.5, seed=1)
+    for t, replicas in ((math.inf, 10), (2.0, 0), (2.0, -3)):
+        with pytest.raises(ValueError):
+            coupling_probability(n=2, t=t, s=0.0, d=1, model=MODEL_SWM, beta=0.5,
+                                 replicas=replicas, seed0=1)

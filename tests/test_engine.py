@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from exactspin import engine
 from exactspin._scalar import swm_draw
 from exactspin.cftp import MODEL_SWM, required_digits
 from exactspin.engine import (
@@ -252,3 +253,102 @@ def test_swapped_lanes_raise_monotonicity_error():
             swm_sandwich(lat, 1.0, 2, 0.1, -2.0, 0.0, seed, bc_top=-1.0, bc_bot=1.0,
                          init_top=np.full(lat.size, -1.0), init_bot=np.full(lat.size, 1.0))
         assert str(first.vertex) in str(err.value)
+
+
+def _cone_oracle(lat, events, targets):
+    """Number of events in the targets' backward dependency cone, as the
+    fixed point of: a site is live until the last time a neighbour's
+    kept event reads it (to the end for a target), and an event is kept
+    when it falls while its site is live."""
+    until = {v: (math.inf if v in targets else -math.inf) for v in lat.vertices}
+    while True:
+        kept = [e for e in events if e.time < until[e.vertex]]
+        grown = dict(until)
+        for e in kept:
+            for u in neighbors(e.vertex):
+                if u in grown:
+                    grown[u] = max(grown[u], e.time)
+        if grown == until:
+            return len(kept)
+        until = grown
+
+
+def _hex_at(res, lat, sites):
+    return [(res.top[lat.index[v]].hex(), res.bot[lat.index[v]].hex()) for v in sites]
+
+
+@pytest.mark.parametrize("d, radius", [(1, 6), (2, 3), (3, 2)])
+@pytest.mark.parametrize("beta", [0.0, 0.32, 1.0])
+def test_targeted_run_matches_full_lanes(d, radius, beta):
+    # the targets' values and the origin records have the full run's
+    # bits, under constant and mixed boundaries, a reseed and an offset;
+    # every other site is NaN, and exactly the cone's events run
+    box = build_box(d, radius)
+    lat = SwmLattice(box.vertices())
+    k = required_digits(MODEL_SWM, beta, d, 0.1)
+    corner = (radius - 1,) + (1 - radius,) * (d - 1)
+    cases = [
+        dict(bc=None, targets=[(0,) * d]),
+        dict(bc=1.0, targets=[corner]),
+        dict(bc=0.5, targets=[(1,) * d, corner]),
+        dict(bc=-0.3, targets=[(0,) * d], reseed={(0,) * d: 77, (1,) + (0,) * (d - 1): 78}),
+        dict(bc=1.0, targets=[(1,) + (0,) * (d - 1)], offset=(5,) * d),
+    ]
+    shrunk = 0
+    for seed, case in enumerate(cases):
+        bc = case.pop("bc")
+        targets = case.pop("targets")
+        if bc is not None:
+            case.update(bc_top=bc, bc_bot=bc)
+        for t in (1.0, 4.0, 12.0):
+            full = swm_sandwich(lat, beta, k, 0.1, -t, 0.0, seed, origin=targets[0], **case)
+            cone = swm_sandwich(lat, beta, k, 0.1, -t, 0.0, seed, origin=targets[0],
+                                targets=targets, **case)
+            assert _hex_at(cone, lat, targets) == _hex_at(full, lat, targets)
+            assert [(x.hex(), e) for x, e in cone.origin_records] == [
+                (x.hex(), e) for x, e in full.origin_records]
+            others = [lat.index[v] for v in lat.vertices if v not in targets]
+            assert np.isnan(cone.top[others]).all() and np.isnan(cone.bot[others]).all()
+            if "offset" not in case:
+                events = event_stream(box, -t, 0.0, seed, reseed=case.get("reseed"))
+                assert cone.event_count == _cone_oracle(lat, events, targets)
+            shrunk += cone.event_count < full.event_count
+    assert shrunk
+
+
+def test_targeted_run_prunes_only_the_last_chunk(monkeypatch):
+    # a window split into several memory chunks: earlier chunks run in
+    # full, the last one runs its cone, and the target keeps its bits
+    box = build_box(2, 3)
+    lat = SwmLattice(box.vertices())
+    target = [(1, -1)]
+    full = swm_sandwich(lat, 0.32, 2, 0.1, -12.0, 0.0, 4, origin=target[0])
+    one_chunk = swm_sandwich(lat, 0.32, 2, 0.1, -12.0, 0.0, 4, origin=target[0], targets=target)
+    monkeypatch.setattr(engine, "_CHUNK_EVENTS", 2.5 * lat.size)  # 2.5 time units
+    chunks = []
+    real_chunk = engine._swm_chunk
+
+    def counted(*args):
+        chunks.append(None)
+        return real_chunk(*args)
+
+    monkeypatch.setattr(engine, "_swm_chunk", counted)
+    split = swm_sandwich(lat, 0.32, 2, 0.1, -12.0, 0.0, 4, origin=target[0], targets=target)
+    assert len(chunks) == 5
+    assert _hex_at(split, lat, target) == _hex_at(full, lat, target)
+    assert split.origin_records == full.origin_records
+    last = event_stream(box, -2.0, 0.0, 4)
+    assert split.event_count == (
+        len(event_stream(box, -12.0, -2.0, 4)) + _cone_oracle(lat, last, target))
+    assert one_chunk.event_count < split.event_count < full.event_count
+
+
+def test_targets_reject_core_mask_and_an_origin_outside():
+    box = build_box(2, 2)
+    lat = SwmLattice(box.vertices())
+    core = lat.mask(lambda v: v == (0, 0))
+    with pytest.raises(ValueError):
+        swm_sandwich(lat, 0.5, 2, 0.15, -2.0, 0.0, 1, core_mask=core, slab_lo=-1.0,
+                     targets=[(0, 0)])
+    with pytest.raises(ValueError):
+        swm_sandwich(lat, 0.5, 2, 0.15, -2.0, 0.0, 1, origin=(1, 0), targets=[(0, 0)])

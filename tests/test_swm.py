@@ -2,16 +2,19 @@ import json
 import math
 import random
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 import pytest
 
 from exactspin import _scalar
-from exactspin._scalar import MEAN_GRID, VALUE_GRID, norm_ppf, snap, swm_draw
+from exactspin._scalar import MEAN_GRID, VALUE_GRID, snap, swm_draw
 from exactspin.randomness import mix64
 from exactspin.swm import calibrate_matching
 
 from keyed import keyed_randomness
+
+norm_ppf = NormalDist().inv_cdf
 
 
 def norm_cdf(z):
