@@ -22,7 +22,7 @@ from .engine import MonotonicityError, SwmLattice, swm_sandwich
 from .lattice import BoxRegion, Vertex, build_box
 from .randomness import MAX_DIGITS, UpdateEvent, check_window, digit_cell, event_stream
 from .swm import SwmField
-from .xy import XyTriple, _lane_groups, box_graph, xy_extremes, xy_full_update
+from .xy import XyGraph, XyTriple, _lane_groups, box_graph, xy_extremes, xy_full_update
 
 MODEL_SWM = "swm"
 MODEL_XY = "xy"
@@ -185,6 +185,19 @@ def _region_lattice(region: BoxRegion) -> SwmLattice:
     return SwmLattice(region.vertices())
 
 
+@lru_cache(maxsize=32)
+def _region_graph(region: BoxRegion) -> XyGraph:
+    """The XY graph of a region, built once and shared, read-only, by
+    every doubling round, replica and cell run on it."""
+    return box_graph(region)
+
+
+def _check_targets(region: BoxRegion, targets: Sequence[Vertex]) -> None:
+    for v in targets:
+        if len(v) != region.d or not region.contains(v):
+            raise ValueError(f"target vertex {v} outside the region")
+
+
 def sandwich_run(
     window: WindowSpec,
     seed: int,
@@ -196,13 +209,18 @@ def sandwich_run(
     The sandwich order is asserted after every update (hard failure on
     violation).  With ``origin`` given, the pair records the equality
     indicator at that vertex after each of its updates.  ``targets``
-    names the only sites the caller reads: SWM then runs just their
-    backward dependency cone (:func:`exactspin.engine.swm_sandwich`) and
-    its pair holds only the targets, so reading another site raises
-    KeyError; ``origin`` must then be a target.  An XY update reads
-    connectivity across the whole graph, so its cone is the whole box
-    and XY runs every event whatever ``targets`` says.
+    names the only sites the caller reads; one outside the region raises
+    ValueError.  SWM then runs just the events they depend on
+    (:func:`exactspin.engine.swm_sandwich`) and its pair holds only the
+    targets, so reading another site raises KeyError; ``origin`` must
+    then be a target.  An XY update reads connectivity across the whole
+    graph but neither its vertex's angle nor its bonds, so XY drops an
+    event when the window's next event, at the same vertex, overwrites
+    it unread, unless that vertex is ``origin``; every vertex of its
+    pair keeps the full run's bits.
     """
+    if targets is not None:
+        _check_targets(window.region, targets)
     if window.model == MODEL_SWM:
         lat = _region_lattice(window.region)
         bc_top = window.boundary if window.boundary is not None else 1.0
@@ -227,9 +245,12 @@ def sandwich_run(
             origin_records=res.origin_records, event_count=res.event_count,
         )
 
-    graph = box_graph(window.region)
+    graph = _region_graph(window.region)
     lo, hi = xy_extremes(graph, window.beta, bc=window.boundary)
     events = event_stream(window.region, window.t_start, window.t_end, seed)
+    if targets is not None:
+        events = [ev for ev, nxt in zip(events, events[1:])
+                  if ev.vertex != nxt.vertex or ev.vertex == origin] + events[-1:]
     records: List[Tuple[float, int]] = []
     for ev in xy_sandwich_steps(hi, lo, events, window.k, window.eps):
         if ev.vertex == origin:
@@ -298,9 +319,7 @@ def cftp_sample(
     target = list(target)
     if not target:
         raise ValueError("empty target")
-    for v in target:
-        if not region.contains(v):
-            raise ValueError(f"target vertex {v} outside the region")
+    _check_targets(region, target)
     cert: Dict[Vertex, float] = {}
     t = 1.0
     while t <= t_max:

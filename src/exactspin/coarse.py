@@ -23,6 +23,7 @@ import numpy as np
 from .cftp import (
     MODEL_SWM,
     MODEL_XY,
+    _region_graph,
     _region_lattice,
     check_params,
     required_digits,
@@ -40,7 +41,7 @@ from .lattice import (
     star_zero_cluster,
 )
 from .randomness import event_stream, mix64, vertex_key
-from .xy import XyGraph, box_graph, xy_extremes
+from .xy import XyGraph, xy_extremes
 
 
 @dataclass(frozen=True)
@@ -162,7 +163,7 @@ def _xy_cell_bit(cell: Cell, params: CoarseParams, seed: int, good: bool) -> int
     j, x = cell
     center = params.fine_center(x)
     zone = params.zone(x)
-    graph = box_graph(zone)
+    graph = _region_graph(zone)
     lo, hi = xy_extremes(graph, params.beta)
     slab_lo, slab_hi = params.slab(j)
 

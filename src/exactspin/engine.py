@@ -14,11 +14,11 @@ serves both.  Per-site stream keys come from one array hash,
 :func:`exactspin.randomness.vertex_keys`.  The run's final lanes are
 returned as arrays.  A caller that reads only some sites names them as
 ``targets``.  A backward scan over the last chunk's events then keeps
-the events at a target, and, further back, the events at each
-neighbour of a site whose kept event reads that neighbour: the targets'
-backward dependency cone.  Only those run, with the same bits at the
-targets, and the other sites come back as NaN (see
-:func:`swm_sandwich`).
+only the events the targets' final values read, directly or through
+kept events at their neighbours: an update never reads its own site,
+so an event overwritten before a neighbour reads it is dropped.  Only
+the kept events run, with the same bits at the targets, and the other
+sites come back as NaN (see :func:`swm_sandwich`).
 """
 
 from __future__ import annotations
@@ -174,33 +174,30 @@ def _event_values(times, sidx, up, ur, um):
                        ur[s].tolist(), um[s].tolist())
 
 
-def _cone_mask(nbrs, sidx, targets) -> np.ndarray:
-    """Which of the time-ordered events at sites ``sidx`` lie in the
-    backward dependency cone of the site indices ``targets``.
+def _cone_mask(nbrs, sidx, targets, origin) -> np.ndarray:
+    """Which of the time-ordered events at sites ``sidx`` the final
+    values at the site indices ``targets`` depend on.
 
     The scan runs from the last event to the first with a live set that
-    starts as ``targets``: an event at a live site is kept and makes
-    that site's neighbours live, an event elsewhere is dropped, and once
-    every site is live every earlier event is kept.
+    starts as ``targets``.  An event at a live site, or at ``origin``,
+    is kept: it takes its own site out of the live set, since no update
+    reads its site's old value, and makes its neighbours live.  An event
+    elsewhere is overwritten before anything kept reads it, so it is
+    dropped.
     """
     keep = bytearray(sidx.size)
     live = [False] * len(nbrs)
     for i in targets:
         live[i] = True
-    missing = live.count(False)
     for end in range(sidx.size, 0, -1024):
         p = end
         for s in reversed(sidx[max(0, end - 1024):end].tolist()):
             p -= 1
-            if live[s]:
+            if live[s] or s == origin:
                 keep[p] = 1
+                live[s] = False
                 for nj in nbrs[s]:
-                    if not live[nj]:
-                        live[nj] = True
-                        missing -= 1
-                if not missing:
-                    keep[:p] = b"\x01" * p
-                    return np.frombuffer(keep, np.bool_)
+                    live[nj] = True
     return np.frombuffer(keep, np.bool_)
 
 
@@ -260,14 +257,16 @@ def swm_sandwich(
     per-update equality record at one site for coupling statistics.
 
     ``targets`` names the only sites the caller reads.  The last memory
-    chunk then runs only the events in the targets' backward dependency
-    cone (:func:`_cone_mask`); earlier chunks run in full.  A kept event
-    reads only neighbours that were live when the backward scan reached
-    it, and each of those values comes from an earlier kept event or
-    the chunk's start, since the live set only grows backwards.  So the
-    targets' values, the ``origin`` records at a target and the order
-    check of every kept event have the bits of the full run.  The other
-    sites come back as NaN and ``event_count`` counts the kept events.
+    chunk then runs only the events those sites depend on, and every
+    event at ``origin`` (:func:`_cone_mask`); earlier chunks run in
+    full.  A kept event reads each neighbour's latest value, which the
+    backward scan marks live; the first event the scan then meets at
+    that neighbour is the one that wrote the value, and it is kept, or
+    else the value is the chunk's start.  So the targets' values, the
+    ``origin`` records and the order check of every kept event have the
+    bits of the full run; a dropped event's order check does not run.
+    The other sites come back as NaN and ``event_count`` counts the
+    kept events.
     ``targets`` with a ``core_mask``, or without the ``origin``, raises
     ValueError.
     """
@@ -300,7 +299,7 @@ def swm_sandwich(
             break  # the core is split at slab entry
         times, sidx, _, up, ur, um = sorted_events(vkeys, lo, hi)
         if cone is not None and hi == t_end:
-            keep = _cone_mask(lattice.nbrs, sidx, cone)
+            keep = _cone_mask(lattice.nbrs, sidx, cone, origin_idx)
             times, sidx, up, ur, um = (a[keep] for a in (times, sidx, up, ur, um))
         nev += times.size
         events = _event_values(times, sidx, up, ur, um)

@@ -314,58 +314,76 @@ def _full_lanes(monkeypatch):
 
 
 def test_cftp_sample_on_the_cone_matches_full_lanes(monkeypatch):
-    # values, certificates and windows keep their bits; the rounds run
-    # fewer events than the full-lane rounds
+    # values, certificates and windows keep their bits, for both models
     cases = [
-        (build_box(1, 6), [(0,)], 0.32, 1.0),
-        (build_box(2, 4), [(0, 0), (2, -3)], 0.2, 0.5),
-        (build_box(2, 3), [(1, 1)], 1.0, -0.3),
-        (build_box(3, 2), [(0, 0, 0)], 0.0, None),
+        (MODEL_SWM, build_box(1, 6), [(0,)], 0.32, 1.0),
+        (MODEL_SWM, build_box(2, 4), [(0, 0), (2, -3)], 0.2, 0.5),
+        (MODEL_SWM, build_box(2, 3), [(1, 1)], 1.0, -0.3),
+        (MODEL_SWM, build_box(3, 2), [(0, 0, 0)], 0.0, None),
+        (MODEL_XY, build_box(1, 3), [(0,)], 0.5, "+1"),
+        (MODEL_XY, build_box(1, 2), [(1,), (0,)], 1.0, "+i"),
+        (MODEL_XY, build_box(2, 2), [(0, 0)], 1.0, "+1"),
+        (MODEL_XY, build_box(2, 2), [(1, -1), (0, 1)], 0.0, "+i"),
+        (MODEL_XY, build_box(2, 2), [(0, 1)], 0.5, "+i"),
     ]
 
+    def value_bits(x):
+        if isinstance(x, float):
+            return x.hex()
+        return x["alpha"].hex(), x["omega"], x["eta"]
+
     def bits(res):
-        return ({v: x.hex() for v, x in res.values.items()}, res.certificate,
+        return ({v: value_bits(x) for v, x in res.values.items()}, res.certificate,
                 res.window_t, res.timed_out)
 
     def samples():
-        return [bits(cftp_sample(box, target, MODEL_SWM, beta, seed, boundary=bc))
-                for box, target, beta, bc in cases for seed in range(8)]
+        return [bits(cftp_sample(box, target, model, beta, seed, boundary=bc))
+                for model, box, target, beta, bc in cases for seed in range(8)]
 
     cone = samples()
     asked = _full_lanes(monkeypatch)
     assert samples() == cone
-    assert {tuple(a) for a in asked} == {tuple(target) for _, target, _, _ in cases}
+    assert {tuple(a) for a in asked} == {tuple(case[2]) for case in cases}
 
 
 def test_coupling_probability_on_the_cone_matches_full_lanes(monkeypatch):
     settings = [
-        dict(n=2, t=4.0, s=0.0, d=2, beta=0.02),
-        dict(n=3, t=6.0, s=2.0, d=2, beta=0.1, truncation=1),
-        dict(n=2, t=4.0, s=1.0, d=1, beta=0.1, throughout=True),
-        dict(n=2, t=4.0, s=0.0, d=3, beta=0.01),
+        dict(model=MODEL_SWM, n=2, t=4.0, s=0.0, d=2, beta=0.02),
+        dict(model=MODEL_SWM, n=3, t=6.0, s=2.0, d=2, beta=0.1, truncation=1),
+        dict(model=MODEL_SWM, n=2, t=4.0, s=1.0, d=1, beta=0.1, throughout=True),
+        dict(model=MODEL_SWM, n=2, t=4.0, s=0.0, d=3, beta=0.01),
+        dict(model=MODEL_XY, n=2, t=3.0, s=0.0, d=2, beta=0.5),
+        dict(model=MODEL_XY, n=3, t=4.0, s=1.0, d=1, beta=1.0, throughout=True),
     ]
     real = cftp.sandwich_run
-    shrunk = []
+    shrunk = {MODEL_SWM: [], MODEL_XY: []}
 
     def checked(window, seed, origin=None, targets=None):
         # the origin's value and records match the full-lane run's bits,
-        # and no other site can be read
+        # and no other SWM site can be read
         pair = real(window, seed, origin=origin, targets=targets)
         ref = real(window, seed, origin=origin)
-        assert targets == [origin] and list(pair.top.values) == [origin]
+        assert targets == [origin]
         for lane, ref_lane in ((pair.top, ref.top), (pair.bot, ref.bot)):
-            assert lane.values[origin].hex() == ref_lane.values[origin].hex()
-        assert pair.origin_records == ref.origin_records
-        shrunk.append(pair.event_count < ref.event_count)
+            if window.model == MODEL_SWM:
+                assert list(lane.values) == [origin]
+                assert lane.values[origin].hex() == ref_lane.values[origin].hex()
+            else:
+                assert lane.alpha[origin].hex() == ref_lane.alpha[origin].hex()
+                for e in lane.graph.incident[origin]:
+                    assert (lane.omega[e], lane.eta[e]) == (ref_lane.omega[e], ref_lane.eta[e])
+        assert [(t.hex(), e) for t, e in pair.origin_records] == [
+            (t.hex(), e) for t, e in ref.origin_records]
+        shrunk[window.model].append(pair.event_count < ref.event_count)
         return pair
 
     def estimates():
-        return [coupling_probability(model=MODEL_SWM, replicas=30, seed0=7, **kw)
-                for kw in settings]
+        return [coupling_probability(replicas=30, seed0=7, **kw) for kw in settings]
 
     monkeypatch.setattr(cftp, "sandwich_run", checked)
     cone = estimates()
-    assert len(shrunk) == 120 and any(shrunk)
+    assert len(shrunk[MODEL_SWM]) == 120 and any(shrunk[MODEL_SWM])
+    assert len(shrunk[MODEL_XY]) == 60 and any(shrunk[MODEL_XY])
     monkeypatch.undo()
     _full_lanes(monkeypatch)
     assert estimates() == cone
@@ -389,3 +407,32 @@ def test_empty_target_and_bad_coupling_inputs_raise_value_error():
         with pytest.raises(ValueError):
             coupling_probability(n=2, t=t, s=0.0, d=1, model=MODEL_SWM, beta=0.5,
                                  replicas=replicas, seed0=1)
+
+
+def test_targets_outside_the_region_raise_value_error():
+    for model in (MODEL_SWM, MODEL_XY):
+        window = auto_window(build_box(2, 2), -2.0, 0.0, model, beta=0.5)
+        for targets in ([(5, 5)], [(0, 0), (2, 0)], [(0, 0, 0)]):
+            with pytest.raises(ValueError, match="outside the region"):
+                sandwich_run(window, seed=1, targets=targets)
+            with pytest.raises(ValueError, match="outside the region"):
+                cftp_sample(window.region, targets, model, beta=0.5, seed=1)
+
+
+def test_xy_rounds_share_one_graph_and_match_a_cold_build(monkeypatch):
+    region = build_box(2, 2)
+
+    def rounds():
+        return [sandwich_run(auto_window(region, -t, 0.0, MODEL_XY, 1.0, boundary=BC_PLUS_ONE),
+                             seed=5, origin=(0, 0)) for t in (1.0, 2.0)]
+
+    def bits(pair):
+        return [({v: a.hex() for v, a in lane.alpha.items()}, lane.omega, lane.eta)
+                for lane in (pair.top, pair.bot)] + [pair.origin_records, pair.event_count]
+
+    cached = rounds()
+    assert cached[0].top.graph is cached[1].top.graph is cached[1].bot.graph
+    monkeypatch.setattr(cftp, "_region_graph", box_graph)
+    cold = rounds()
+    assert cold[0].top.graph is not cold[1].top.graph
+    assert [bits(p) for p in cold] == [bits(p) for p in cached]

@@ -1,5 +1,6 @@
 import math
 import random
+from bisect import bisect_left
 
 import numpy as np
 import pytest
@@ -255,11 +256,32 @@ def test_swapped_lanes_raise_monotonicity_error():
         assert str(first.vertex) in str(err.value)
 
 
+def _dependency_oracle(lat, events, targets, origin):
+    """Number of events the targets' final values depend on, as the
+    fixed point of: an event is kept when it is at ``origin``, or when
+    it is the last event at its site before a read of that site; a read
+    is the window's end at a target, or a kept event at a neighbour."""
+    times = {v: [] for v in lat.vertices}
+    for e in events:
+        times[e.vertex].append(e.time)
+    reads = {(v, math.inf) for v in targets}
+    while True:
+        kept = {(origin, t) for t in times[origin]}
+        for v, r in reads:
+            i = bisect_left(times[v], r)
+            if i:
+                kept.add((v, times[v][i - 1]))
+        grown = reads | {(u, t) for v, t in kept for u in neighbors(v) if u in times}
+        if grown == reads:
+            return len(kept)
+        reads = grown
+
+
 def _cone_oracle(lat, events, targets):
-    """Number of events in the targets' backward dependency cone, as the
-    fixed point of: a site is live until the last time a neighbour's
-    kept event reads it (to the end for a target), and an event is kept
-    when it falls while its site is live."""
+    """Number of events in the targets' monotone backward cone, an upper
+    bound on the dependency set: a site is live until the last time a
+    neighbour's kept event reads it (to the end for a target), and an
+    event is kept when it falls while its site is live."""
     until = {v: (math.inf if v in targets else -math.inf) for v in lat.vertices}
     while True:
         kept = [e for e in events if e.time < until[e.vertex]]
@@ -282,7 +304,8 @@ def _hex_at(res, lat, sites):
 def test_targeted_run_matches_full_lanes(d, radius, beta):
     # the targets' values and the origin records have the full run's
     # bits, under constant and mixed boundaries, a reseed and an offset;
-    # every other site is NaN, and exactly the cone's events run
+    # every other site is NaN, and exactly the events the targets and
+    # origin records depend on run, never more than the monotone cone
     box = build_box(d, radius)
     lat = SwmLattice(box.vertices())
     k = required_digits(MODEL_SWM, beta, d, 0.1)
@@ -294,7 +317,7 @@ def test_targeted_run_matches_full_lanes(d, radius, beta):
         dict(bc=-0.3, targets=[(0,) * d], reseed={(0,) * d: 77, (1,) + (0,) * (d - 1): 78}),
         dict(bc=1.0, targets=[(1,) + (0,) * (d - 1)], offset=(5,) * d),
     ]
-    shrunk = 0
+    shrunk = below_cone = 0
     for seed, case in enumerate(cases):
         bc = case.pop("bc")
         targets = case.pop("targets")
@@ -311,14 +334,18 @@ def test_targeted_run_matches_full_lanes(d, radius, beta):
             assert np.isnan(cone.top[others]).all() and np.isnan(cone.bot[others]).all()
             if "offset" not in case:
                 events = event_stream(box, -t, 0.0, seed, reseed=case.get("reseed"))
-                assert cone.event_count == _cone_oracle(lat, events, targets)
+                assert cone.event_count == _dependency_oracle(lat, events, targets, targets[0])
+                monotone = _cone_oracle(lat, events, targets)
+                assert cone.event_count <= monotone
+                below_cone += cone.event_count < monotone
             shrunk += cone.event_count < full.event_count
-    assert shrunk
+    assert shrunk and below_cone
 
 
 def test_targeted_run_prunes_only_the_last_chunk(monkeypatch):
     # a window split into several memory chunks: earlier chunks run in
-    # full, the last one runs its cone, and the target keeps its bits
+    # full, the last one runs what the target depends on, and the target
+    # keeps its bits
     box = build_box(2, 3)
     lat = SwmLattice(box.vertices())
     target = [(1, -1)]
@@ -338,8 +365,8 @@ def test_targeted_run_prunes_only_the_last_chunk(monkeypatch):
     assert _hex_at(split, lat, target) == _hex_at(full, lat, target)
     assert split.origin_records == full.origin_records
     last = event_stream(box, -2.0, 0.0, 4)
-    assert split.event_count == (
-        len(event_stream(box, -12.0, -2.0, 4)) + _cone_oracle(lat, last, target))
+    assert split.event_count == len(event_stream(box, -12.0, -2.0, 4)) + _dependency_oracle(
+        lat, last, target, target[0])
     assert one_chunk.event_count < split.event_count < full.event_count
 
 
