@@ -5,14 +5,16 @@ streams; top and bottom trajectories start from the extremal
 configurations and are folded through identical randomness.  Once they
 agree at a site the value is the exact Gibbs sample there and cannot
 change under any enlargement of the window, which the doubling
-procedure exploits.
+procedure exploits.  The event that the lanes agree at a site throughout
+a time slab is decided by the slab monitor of the mixed cells: the
+engine's core mask for SWM, :func:`_xy_monitor` for XY.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -104,7 +106,6 @@ class SandwichPair:
     window: WindowSpec
     top: object  # SwmField | XyTriple
     bot: object
-    origin_records: List[Tuple[float, int]] = field(default_factory=list)
     event_count: int = 0
 
     def coalesced(self, v: Vertex) -> bool:
@@ -115,9 +116,11 @@ class SandwichPair:
 
 def _xy_equal_at(a: XyTriple, b: XyTriple, v) -> bool:
     """Equal angle at v and equal omega/eta on every edge at v."""
-    return a.alpha[v] == b.alpha[v] and all(
-        a.omega[e] == b.omega[e] and a.eta[e] == b.eta[e] for e in a.graph.incident[v]
-    )
+    return a.alpha[v] == b.alpha[v] and _xy_bonds_equal_at(a, b, v)
+
+
+def _xy_bonds_equal_at(a: XyTriple, b: XyTriple, v) -> bool:
+    return all(a.omega[e] == b.omega[e] and a.eta[e] == b.eta[e] for e in a.graph.incident[v])
 
 
 def xy_sandwich_steps(
@@ -171,6 +174,25 @@ def _xy_steps(hi, lo, events, k, eps):
         yield ev
 
 
+def _xy_monitor(hi, lo, events, slab_lo, k, eps, holds) -> bool:
+    """Whether ``holds(hi, lo)`` is true of the XY lanes stepped through
+    ``events`` at time ``slab_lo`` and after every later event.
+
+    Events come in time order: those at or before ``slab_lo`` are a
+    run-in prefix, checked once at its end; the run stops at the first
+    later event after which the check fails.
+    """
+    n_run_in = sum(1 for ev in events if ev.time <= slab_lo)
+    for _ in xy_sandwich_steps(hi, lo, events[:n_run_in], k, eps):
+        pass
+    if not holds(hi, lo):
+        return False
+    for _ in xy_sandwich_steps(hi, lo, events[n_run_in:], k, eps):
+        if not holds(hi, lo):
+            return False
+    return True
+
+
 def _swm_pair_fields(lat: SwmLattice, top, bot, sites) -> Tuple[SwmField, SwmField]:
     """The engine's final lanes at ``sites`` as vertex-keyed spin records."""
     idx = [lat.index[v] for v in sites]
@@ -201,23 +223,19 @@ def _check_targets(region: BoxRegion, targets: Sequence[Vertex]) -> None:
 def sandwich_run(
     window: WindowSpec,
     seed: int,
-    origin: Optional[Vertex] = None,
     targets: Optional[Sequence[Vertex]] = None,
 ) -> SandwichPair:
     """Evolve both extremal starts under the identical event stream.
 
     The sandwich order is asserted after every update (hard failure on
-    violation).  With ``origin`` given, the pair records the equality
-    indicator at that vertex after each of its updates.  ``targets``
-    names the only sites the caller reads; one outside the region raises
-    ValueError.  SWM then runs just the events they depend on
-    (:func:`exactspin.engine.swm_sandwich`) and its pair holds only the
-    targets, so reading another site raises KeyError; ``origin`` must
-    then be a target.  An XY update reads connectivity across the whole
-    graph but neither its vertex's angle nor its bonds, so XY drops an
-    event when the window's next event, at the same vertex, overwrites
-    it unread, unless that vertex is ``origin``; every vertex of its
-    pair keeps the full run's bits.
+    violation).  ``targets`` names the only sites the caller reads; one
+    outside the region raises ValueError.  SWM then runs just the events
+    they depend on (:func:`exactspin.engine.swm_sandwich`) and its pair
+    holds only the targets, so reading another site raises KeyError.  An
+    XY update reads connectivity across the whole graph but neither its
+    vertex's angle nor its bonds, so XY drops an event when the window's
+    next event, at the same vertex, overwrites it unread; every vertex
+    of its pair keeps the full run's bits at the window's end.
     """
     if targets is not None:
         _check_targets(window.region, targets)
@@ -235,27 +253,21 @@ def sandwich_run(
             seed,
             bc_top=bc_top,
             bc_bot=bc_bot,
-            origin=origin,
             targets=targets,
         )
         sites = lat.vertices if targets is None else list(targets)
         top, bot = _swm_pair_fields(lat, res.top, res.bot, sites)
-        return SandwichPair(
-            window, top, bot,
-            origin_records=res.origin_records, event_count=res.event_count,
-        )
+        return SandwichPair(window, top, bot, event_count=res.event_count)
 
     graph = _region_graph(window.region)
     lo, hi = xy_extremes(graph, window.beta, bc=window.boundary)
     events = event_stream(window.region, window.t_start, window.t_end, seed)
     if targets is not None:
         events = [ev for ev, nxt in zip(events, events[1:])
-                  if ev.vertex != nxt.vertex or ev.vertex == origin] + events[-1:]
-    records: List[Tuple[float, int]] = []
-    for ev in xy_sandwich_steps(hi, lo, events, window.k, window.eps):
-        if ev.vertex == origin:
-            records.append((ev.time, 1 if _xy_equal_at(hi, lo, origin) else 0))
-    return SandwichPair(window, hi, lo, origin_records=records, event_count=len(events))
+                  if ev.vertex != nxt.vertex] + events[-1:]
+    for _ in xy_sandwich_steps(hi, lo, events, window.k, window.eps):
+        pass
+    return SandwichPair(window, hi, lo, event_count=len(events))
 
 
 @dataclass
@@ -363,22 +375,6 @@ class CouplingEstimate:
     replicas: int
 
 
-def _origin_equal_throughout(
-    records: List[Tuple[float, int]], s: float, initial_equal: bool
-) -> bool:
-    """Equality at the origin at every time in [-s, 0] given the
-    per-update equality records of the full run."""
-    eq = initial_equal
-    for t, e in records:
-        if t <= -s:
-            eq = bool(e)
-        else:
-            if not eq:
-                return False
-            eq = bool(e)
-    return eq
-
-
 def coupling_probability(
     n: int,
     t: float,
@@ -395,9 +391,13 @@ def coupling_probability(
 ) -> CouplingEstimate:
     """Monte Carlo estimate of P[NC(n, t, s)] at the origin.
 
+    Coupling at a vertex is the lanes' equality there: the spin for
+    SWM; for XY the angle and the omega/eta bonds of every incident edge.
     ``truncation`` compares only the first ``truncation`` digits of the
-    spin (the k-truncated event).  ``throughout`` estimates the event
-    that coupling holds at every time in [-s, 0] instead of at -s only.
+    spin or angle (the k-truncated event).  ``throughout`` estimates the
+    event that coupling holds at every time in [-s, 0] instead of at -s
+    only: the lanes run to time 0 under the slab monitor of the mixed
+    cells with the origin as the core, and ``truncation`` is not used.
     Extremal boundary conditions frozen outside the box, matching the
     sandwich construction.
     """
@@ -414,37 +414,40 @@ def coupling_probability(
             hits += 1  # zero-length dynamics: extremal starts differ
             continue
         window = auto_window(
-            region, -float(t), -float(s) if not throughout else 0.0,
-            model, beta, eps=eps, k=k,
+            region, -float(t), 0.0 if throughout else -float(s), model, beta, eps=eps, k=k,
         )
-        pair = sandwich_run(window, seed, origin=origin, targets=[origin])
         if throughout:
-            eq = _origin_equal_throughout(pair.origin_records, s, False)
-            nc = not eq
+            coupled = _coupled_throughout(window, seed, -float(s), origin)
         else:
-            nc = not _pair_equal_at(pair, origin, truncation)
-        hits += nc
+            pair = sandwich_run(window, seed, targets=[origin])
+            coupled = _pair_equal_at(pair, origin, truncation)
+        hits += not coupled
     p = hits / replicas
     se = math.sqrt(max(p * (1 - p), 1e-12) / replicas)
     return CouplingEstimate(probability=p, stderr=se, replicas=replicas)
 
 
+def _coupled_throughout(window: WindowSpec, seed: int, slab_lo: float, v: Vertex) -> bool:
+    """Whether the lanes agree at v at time ``slab_lo`` and after every
+    later event of the window."""
+    if window.model == MODEL_SWM:
+        lat = _region_lattice(window.region)
+        res = swm_sandwich(lat, window.beta, window.k, window.eps, window.t_start,
+                           window.t_end, seed, core_mask=lat.mask(lambda u: u == v),
+                           slab_lo=slab_lo)
+        return res.mixed_ok
+    lo, hi = xy_extremes(_region_graph(window.region), window.beta)
+    events = event_stream(window.region, window.t_start, window.t_end, seed)
+    return _xy_monitor(hi, lo, events, slab_lo, window.k, window.eps,
+                       lambda a, b: _xy_equal_at(a, b, v))
+
+
 def _pair_equal_at(pair: SandwichPair, v: Vertex, truncation: Optional[int]) -> bool:
-    if pair.window.model == MODEL_SWM:
-        a, b = pair.top.values[v], pair.bot.values[v]
-        if truncation is None:
-            return a == b
-        return digit_cell(a, truncation) == digit_cell(b, truncation)
-    # xy: the distinguished vertex/edge pair
-    g = pair.top.graph
-    a, b = pair.top.alpha[v], pair.bot.alpha[v]
     if truncation is None:
-        if a != b:
-            return False
-    else:
-        ka = digit_cell(a / xy_mod.HALF_PI, truncation)
-        kb = digit_cell(b / xy_mod.HALF_PI, truncation)
-        if ka != kb:
-            return False
-    e0 = g.incident[v][0]
-    return pair.top.omega[e0] == pair.bot.omega[e0] and pair.top.eta[e0] == pair.bot.eta[e0]
+        return pair.coalesced(v)
+    top, bot = pair.top, pair.bot
+    if pair.window.model == MODEL_SWM:
+        return digit_cell(top.values[v], truncation) == digit_cell(bot.values[v], truncation)
+    return (digit_cell(top.alpha[v] / xy_mod.HALF_PI, truncation)
+            == digit_cell(bot.alpha[v] / xy_mod.HALF_PI, truncation)
+            and _xy_bonds_equal_at(top, bot, v))

@@ -25,9 +25,9 @@ from .cftp import (
     MODEL_XY,
     _region_graph,
     _region_lattice,
+    _xy_monitor,
     check_params,
     required_digits,
-    xy_sandwich_steps,
 )
 from .engine import SwmLattice, swm_sandwich
 from .lattice import (
@@ -182,19 +182,8 @@ def _xy_cell_bit(cell: Cell, params: CoarseParams, seed: int, good: bool) -> int
             or _box_crossing(graph, hi.eta, center, params.L)
         )
 
-    # events come in time order: the run-in is a prefix, checked once at
-    # the slab entry, then the core is checked after every in-slab event
     events = event_stream(zone, params.run_start(j), slab_hi, seed)
-    n_run_in = sum(1 for ev in events if ev.time <= slab_lo)
-    k, eps = params.digits, params.eps
-    for _ in xy_sandwich_steps(hi, lo, events[:n_run_in], k, eps):
-        pass
-    if not holds(hi, lo):
-        return 0
-    for _ in xy_sandwich_steps(hi, lo, events[n_run_in:], k, eps):
-        if not holds(hi, lo):
-            return 0
-    return 1
+    return int(_xy_monitor(hi, lo, events, slab_lo, params.digits, params.eps, holds))
 
 
 class ThetaField:

@@ -24,7 +24,7 @@ sites come back as NaN (see :func:`swm_sandwich`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -56,8 +56,7 @@ class MonotonicityError(RuntimeError):
     """The sandwich order was violated at an update (hard failure)."""
 
 
-def _swm_chunk(lattice, top, bot, events, bsum_t, bsum_b, law, core, neq, check,
-               origin_idx, records):
+def _swm_chunk(lattice, top, bot, events, bsum_t, bsum_b, law, core, neq, check):
     """Step both lanes in place through one chunk of time-ordered events.
 
     ``events`` yields (time, site, u_primary, u_refine, u_match) and
@@ -67,9 +66,7 @@ def _swm_chunk(lattice, top, bot, events, bsum_t, bsum_b, law, core, neq, check,
     draw and the pair is checked for order.  Returns the number of
     ``core`` sites where the lanes differ.  With ``check`` set the chunk
     stops at the first event that leaves the core split, so a nonzero
-    return then means an early exit.  The update times at site
-    ``origin_idx`` are appended to ``records`` with the lanes' equality
-    there.
+    return then means an early exit.
     """
     nbrs = lattice.nbrs
     sig, tenk, w, eps, inv_deg = law
@@ -95,8 +92,6 @@ def _swm_chunk(lattice, top, bot, events, bsum_t, bsum_b, law, core, neq, check,
         bot[vi] = vb
         if check and neq:
             return neq
-        if vi == origin_idx:
-            records.append((t, 1 if vt == vb else 0))
     return neq
 
 
@@ -174,16 +169,15 @@ def _event_values(times, sidx, up, ur, um):
                        ur[s].tolist(), um[s].tolist())
 
 
-def _cone_mask(nbrs, sidx, targets, origin) -> np.ndarray:
+def _cone_mask(nbrs, sidx, targets) -> np.ndarray:
     """Which of the time-ordered events at sites ``sidx`` the final
     values at the site indices ``targets`` depend on.
 
     The scan runs from the last event to the first with a live set that
-    starts as ``targets``.  An event at a live site, or at ``origin``,
-    is kept: it takes its own site out of the live set, since no update
-    reads its site's old value, and makes its neighbours live.  An event
-    elsewhere is overwritten before anything kept reads it, so it is
-    dropped.
+    starts as ``targets``.  An event at a live site is kept: it takes its
+    own site out of the live set, since no update reads its site's old
+    value, and makes its neighbours live.  An event elsewhere is
+    overwritten before anything kept reads it, so it is dropped.
     """
     keep = bytearray(sidx.size)
     live = [False] * len(nbrs)
@@ -193,7 +187,7 @@ def _cone_mask(nbrs, sidx, targets, origin) -> np.ndarray:
         p = end
         for s in reversed(sidx[max(0, end - 1024):end].tolist()):
             p -= 1
-            if live[s] or s == origin:
+            if live[s]:
                 keep[p] = 1
                 live[s] = False
                 for nj in nbrs[s]:
@@ -225,7 +219,6 @@ class SwmRunResult:
     top: np.ndarray
     bot: np.ndarray
     mixed_ok: Optional[bool]
-    origin_records: List[Tuple[float, int]] = field(default_factory=list)
     event_count: int = 0  # events processed; an early exit ends the count
 
 
@@ -244,7 +237,6 @@ def swm_sandwich(
     reseed: Optional[Mapping[Vertex, int]] = None,
     core_mask: Optional[np.ndarray] = None,
     slab_lo: float = math.inf,
-    origin: Optional[Vertex] = None,
     offset: Optional[Vertex] = None,
     targets: Optional[Sequence[Vertex]] = None,
 ) -> SwmRunResult:
@@ -253,27 +245,25 @@ def swm_sandwich(
     When ``core_mask``/``slab_lo`` are given the run doubles as a mixed
     cell evaluation: ``mixed_ok`` reports whether top and bottom agree
     on the core at the slab entry time and after every in-slab event
-    (the run exits early on the first failure).  ``origin`` collects the
-    per-update equality record at one site for coupling statistics.
+    (the run exits early on the first failure).  A one-site core makes
+    it the coupling event that the lanes agree at that site throughout
+    the slab.
 
     ``targets`` names the only sites the caller reads.  The last memory
-    chunk then runs only the events those sites depend on, and every
-    event at ``origin`` (:func:`_cone_mask`); earlier chunks run in
-    full.  A kept event reads each neighbour's latest value, which the
-    backward scan marks live; the first event the scan then meets at
-    that neighbour is the one that wrote the value, and it is kept, or
-    else the value is the chunk's start.  So the targets' values, the
-    ``origin`` records and the order check of every kept event have the
-    bits of the full run; a dropped event's order check does not run.
-    The other sites come back as NaN and ``event_count`` counts the
-    kept events.
-    ``targets`` with a ``core_mask``, or without the ``origin``, raises
-    ValueError.
+    chunk then runs only the events those sites depend on
+    (:func:`_cone_mask`); earlier chunks run in full.  A kept event
+    reads each neighbour's latest value, which the backward scan marks
+    live; the first event the scan then meets at that neighbour is the
+    one that wrote the value, and it is kept, or else the value is the
+    chunk's start.  So the targets' values and the lanes and order
+    check of every kept event have the bits of the full run; a dropped
+    event's order check does not run.  The other sites come back as NaN
+    and ``event_count`` counts the kept events.  ``targets`` with a
+    ``core_mask`` raises ValueError: the monitor reads every event.
     """
     check_window(t_start, t_end)
-    if targets is not None and (core_mask is not None
-                                or origin is not None and origin not in targets):
-        raise ValueError("targets exclude a core_mask and need the origin among them")
+    if targets is not None and core_mask is not None:
+        raise ValueError("targets exclude a core_mask")
     S = lattice.size
     deg = 2 * lattice.d
     top = [1.0] * S if init_top is None else np.asarray(init_top, np.float64).tolist()
@@ -288,8 +278,6 @@ def swm_sandwich(
     if not monitoring:
         slab_lo = math.inf
     neq = sum(1 for a, b, c in zip(top, bot, core) if c and a != b)
-    origin_idx = -1 if origin is None else lattice.index[origin]
-    records: List[Tuple[float, int]] = []
     cone = None if targets is None else [lattice.index[v] for v in targets]
     span = max(1.0, _CHUNK_EVENTS / S)
     nev = 0
@@ -299,12 +287,11 @@ def swm_sandwich(
             break  # the core is split at slab entry
         times, sidx, _, up, ur, um = sorted_events(vkeys, lo, hi)
         if cone is not None and hi == t_end:
-            keep = _cone_mask(lattice.nbrs, sidx, cone, origin_idx)
+            keep = _cone_mask(lattice.nbrs, sidx, cone)
             times, sidx, up, ur, um = (a[keep] for a in (times, sidx, up, ur, um))
         nev += times.size
         events = _event_values(times, sidx, up, ur, um)
-        neq = _swm_chunk(lattice, top, bot, events, bsum_t, bsum_b, law, core, neq,
-                         in_slab, origin_idx, records)
+        neq = _swm_chunk(lattice, top, bot, events, bsum_t, bsum_b, law, core, neq, in_slab)
         if in_slab and neq:
             nev -= sum(1 for _ in events)  # the events after the exit never ran
             break
@@ -314,4 +301,4 @@ def swm_sandwich(
         stale = np.ones(S, np.bool_)
         stale[cone] = False
         top[stale] = bot[stale] = np.nan
-    return SwmRunResult(top, bot, mixed_ok=mixed_ok, origin_records=records, event_count=nev)
+    return SwmRunResult(top, bot, mixed_ok=mixed_ok, event_count=nev)

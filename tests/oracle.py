@@ -23,6 +23,15 @@ that compare against it:
 The first two are in ``test_cftp.py``, the XY ones in ``test_xy.py``;
 ``test_oracle.py`` and ``test_lattice.py`` check the references
 themselves.
+
+The last section holds coupling instruments.  They run the package's
+own dynamics and only watch it: ``recorded_origin`` records the lanes'
+equality at one site after each of its SWM updates (the golden digests
+and the engine and CFTP record tests), ``origin_equal_throughout``
+decides the coupling event of ``coupling_probability(throughout=True)``
+from those records, and ``xy_equal_throughout`` decides the XY one by a
+check after every event.  ``test_cftp.py`` compares both with the
+estimator.
 """
 
 from __future__ import annotations
@@ -30,12 +39,15 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Mapping, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Mapping, Sequence, Set, Tuple
 
 import numpy as np
 
+from exactspin import engine
+from exactspin.cftp import xy_sandwich_steps
 from exactspin.lattice import BoxRegion, Vertex, neighbors
-from exactspin.xy import XyGraph, XyTriple, _node_key
+from exactspin.randomness import event_stream
+from exactspin.xy import XyGraph, XyTriple, _node_key, box_graph, xy_extremes
 
 _REJECTION_BATCH = 200000  # uniform proposals per accept/reject round
 _XY_PAIR_ORDER = 96  # Gauss-Legendre nodes per angle, two-vertex XY law
@@ -405,3 +417,76 @@ def exterior_boundary(box: BoxRegion) -> List[Vertex]:
                 if not box.contains(w):
                     out.add(w)
     return sorted(out)
+
+
+# ---------------------------------------------------------------------------
+# Coupling instruments
+# ---------------------------------------------------------------------------
+
+
+def recorded_origin(run: Callable, origin: Vertex):
+    """``(run(), records)``: ``records`` holds (time, 1 if the lanes are
+    equal at ``origin`` else 0) after each SWM update at ``origin``.
+
+    Wraps ``engine._swm_chunk``'s event iterator while ``run`` runs.  A
+    record is taken when the chunk asks for the next event, so the event
+    a monitored run exits on, which the chunk does not finish, is not
+    recorded.
+    """
+    real = engine._swm_chunk
+    records: List[Tuple[float, int]] = []
+
+    def chunk(lattice, top, bot, events, *rest):
+        oi = lattice.index[origin]
+
+        def watched():
+            for ev in events:
+                yield ev
+                if ev[1] == oi:
+                    records.append((ev[0], 1 if top[oi] == bot[oi] else 0))
+
+        return real(lattice, top, bot, watched(), *rest)
+
+    engine._swm_chunk = chunk
+    try:
+        return run(), records
+    finally:
+        engine._swm_chunk = real
+
+
+def origin_equal_throughout(records: Sequence[Tuple[float, int]], s: float,
+                            initial_equal: bool) -> bool:
+    """Equality at the origin at every time in [-s, 0] given the
+    per-update equality records of the full run: an SWM site changes
+    only at its own updates."""
+    eq = initial_equal
+    for t, e in records:
+        if t <= -s:
+            eq = bool(e)
+        else:
+            if not eq:
+                return False
+            eq = bool(e)
+    return eq
+
+
+def xy_equal_throughout(region: BoxRegion, beta: float, k: int, eps: float, t: float,
+                        s: float, seed: int, v: Vertex) -> bool:
+    """Whether the extremal XY lanes run over [-t, 0] agree at v (the
+    angle and both bonds of every incident edge) at time -s and after
+    every event in (-s, 0], checked after every event of the window."""
+    graph = box_graph(region)
+    lo, hi = xy_extremes(graph, beta)
+
+    def equal():
+        return hi.alpha[v] == lo.alpha[v] and all(
+            hi.omega[e] == lo.omega[e] and hi.eta[e] == lo.eta[e]
+            for e in graph.incident[v])
+
+    at_entry, after = equal(), True
+    for ev in xy_sandwich_steps(hi, lo, event_stream(region, -t, 0.0, seed), k, eps):
+        if ev.time <= -s:
+            at_entry = equal()
+        else:
+            after = after and equal()
+    return at_entry and after

@@ -12,6 +12,7 @@ from exactspin.cftp import (
     auto_window,
     cftp_sample,
     coupling_probability,
+    required_digits,
     sandwich_run,
     xy_sandwich_steps,
 )
@@ -20,7 +21,15 @@ from exactspin.lattice import build_box
 from exactspin.randomness import event_stream
 from exactspin.xy import BC_PLUS_ONE, XyTriple, box_graph, xy_extremes
 
-from oracle import instance_from_box, quadrature_cdf, rejection_sample, xy_leq
+from oracle import (
+    instance_from_box,
+    origin_equal_throughout,
+    quadrature_cdf,
+    recorded_origin,
+    rejection_sample,
+    xy_equal_throughout,
+    xy_leq,
+)
 
 
 def test_window_validates_calibration():
@@ -62,10 +71,11 @@ def test_sandwich_order_and_records_swm():
     region = build_box(2, 3)
     window = auto_window(region, -6.0, 0.0, MODEL_SWM, beta=0.5)
     for seed in range(20):
-        pair = sandwich_run(window, seed, origin=(0, 0))
+        pair, records = recorded_origin(lambda: sandwich_run(window, seed), (0, 0))
         for v in region.vertices():
             assert pair.top.values[v] >= pair.bot.values[v]
-        for _, eq in pair.origin_records:
+        assert records
+        for _, eq in records:
             assert eq in (0, 1)
 
 
@@ -298,6 +308,69 @@ def test_coupling_long_time_union_bound():
     assert lhs.probability <= bound + slack
 
 
+@pytest.mark.parametrize("model, d, beta", [(MODEL_SWM, 2, 0.02), (MODEL_XY, 2, 0.5)])
+def test_coupling_throughout_a_zero_slab_is_coupling_at_time_zero(model, d, beta):
+    # for s = 0 both estimators read the same event, equality at the
+    # origin at time 0; an XY origin couples only when its angle and
+    # every incident bond agree, not its first bond alone
+    kw = dict(n=2, t=3.0, s=0.0, d=d, model=model, beta=beta, replicas=150, seed0=7)
+    at_time = coupling_probability(**kw)
+    assert coupling_probability(throughout=True, **kw) == at_time
+    assert 0.0 < at_time.probability < 1.0
+
+
+def test_xy_coupling_at_a_vertex_reads_every_incident_bond():
+    # with and without truncation: a pair that agrees at the origin stops
+    # agreeing when any one of its incident bonds differs
+    window = auto_window(build_box(2, 2), -8.0, 0.0, MODEL_XY, beta=0.5)
+    origin = (0, 0)
+    pair = next(p for p in (sandwich_run(window, seed) for seed in range(20))
+                if p.coalesced(origin))
+    edges = pair.top.graph.incident[origin]
+    assert len(edges) == 4
+    for e in edges:
+        for bond in (pair.bot.omega, pair.bot.eta):
+            bond[e] ^= 1
+            for truncation in (None, 1, 3):
+                assert not cftp._pair_equal_at(pair, origin, truncation)
+            bond[e] ^= 1
+    for truncation in (None, 1, 3):
+        assert cftp._pair_equal_at(pair, origin, truncation)
+
+
+@pytest.mark.parametrize("n, t, s, beta", [(3, 6.0, 3.0, 0.3), (3, 4.0, 1.0, 1.0)])
+def test_xy_coupling_throughout_matches_a_check_after_every_event(n, t, s, beta):
+    # a neighbour's update rewrites the origin's incident bonds, so the
+    # event must be checked after every event, not only at the origin's;
+    # one replica per call compares the event seed by seed
+    region, k = build_box(1, n), required_digits(MODEL_XY, beta, 1, 0.1)
+    nc = []
+    for seed0 in range(200):
+        est = coupling_probability(n=n, t=t, s=s, d=1, model=MODEL_XY, beta=beta,
+                                   replicas=1, seed0=seed0, throughout=True)
+        nc.append(est.probability)
+        assert est.probability == (not xy_equal_throughout(
+            region, beta, k, 0.1, t, s, seed0 * 1000003, (0,))), seed0
+    assert 0 < sum(nc) < len(nc)
+
+
+@pytest.mark.parametrize("d, n, beta, s", [(1, 2, 0.1, 1.5), (2, 2, 0.02, 1.0),
+                                           (3, 1, 0.02, 1.0)])
+def test_swm_coupling_throughout_matches_the_origin_records(d, n, beta, s):
+    # the slab monitor with the origin as its core decides the same event
+    # as the per-update records at the origin: an SWM site changes only
+    # at its own updates; one replica per call compares seed by seed
+    t = 4.0
+    window = auto_window(build_box(d, n), -t, 0.0, MODEL_SWM, beta)
+    nc = []
+    for seed0 in range(150):
+        est = coupling_probability(n=n, t=t, s=s, d=d, model=MODEL_SWM, beta=beta,
+                                   replicas=1, seed0=seed0, throughout=True)
+        nc.append(est.probability)
+        _, records = recorded_origin(lambda: sandwich_run(window, seed0 * 1000003), (0,) * d)
+        assert est.probability == (not origin_equal_throughout(records, s, False)), seed0
+    assert 0 < sum(nc) < len(nc)
+
 
 def _full_lanes(monkeypatch):
     """Make cftp's own sandwich runs ignore ``targets``; returns the list
@@ -305,9 +378,9 @@ def _full_lanes(monkeypatch):
     asked = []
     real = cftp.sandwich_run
 
-    def full(window, seed, origin=None, targets=None):
+    def full(window, seed, targets=None):
         asked.append(targets)
-        return real(window, seed, origin=origin)
+        return real(window, seed)
 
     monkeypatch.setattr(cftp, "sandwich_run", full)
     return asked
@@ -358,11 +431,12 @@ def test_coupling_probability_on_the_cone_matches_full_lanes(monkeypatch):
     real = cftp.sandwich_run
     shrunk = {MODEL_SWM: [], MODEL_XY: []}
 
-    def checked(window, seed, origin=None, targets=None):
-        # the origin's value and records match the full-lane run's bits,
-        # and no other SWM site can be read
-        pair = real(window, seed, origin=origin, targets=targets)
-        ref = real(window, seed, origin=origin)
+    def checked(window, seed, targets=None):
+        # the origin's value matches the full-lane run's bits, and no
+        # other SWM site can be read
+        origin = (0,) * window.region.d
+        pair = real(window, seed, targets=targets)
+        ref = real(window, seed)
         assert targets == [origin]
         for lane, ref_lane in ((pair.top, ref.top), (pair.bot, ref.bot)):
             if window.model == MODEL_SWM:
@@ -372,8 +446,6 @@ def test_coupling_probability_on_the_cone_matches_full_lanes(monkeypatch):
                 assert lane.alpha[origin].hex() == ref_lane.alpha[origin].hex()
                 for e in lane.graph.incident[origin]:
                     assert (lane.omega[e], lane.eta[e]) == (ref_lane.omega[e], ref_lane.eta[e])
-        assert [(t.hex(), e) for t, e in pair.origin_records] == [
-            (t.hex(), e) for t, e in ref.origin_records]
         shrunk[window.model].append(pair.event_count < ref.event_count)
         return pair
 
@@ -382,8 +454,9 @@ def test_coupling_probability_on_the_cone_matches_full_lanes(monkeypatch):
 
     monkeypatch.setattr(cftp, "sandwich_run", checked)
     cone = estimates()
-    assert len(shrunk[MODEL_SWM]) == 120 and any(shrunk[MODEL_SWM])
-    assert len(shrunk[MODEL_XY]) == 60 and any(shrunk[MODEL_XY])
+    # the throughout settings run the slab monitor, not sandwich_run
+    assert len(shrunk[MODEL_SWM]) == 90 and any(shrunk[MODEL_SWM])
+    assert len(shrunk[MODEL_XY]) == 30 and any(shrunk[MODEL_XY])
     monkeypatch.undo()
     _full_lanes(monkeypatch)
     assert estimates() == cone
@@ -424,11 +497,11 @@ def test_xy_rounds_share_one_graph_and_match_a_cold_build(monkeypatch):
 
     def rounds():
         return [sandwich_run(auto_window(region, -t, 0.0, MODEL_XY, 1.0, boundary=BC_PLUS_ONE),
-                             seed=5, origin=(0, 0)) for t in (1.0, 2.0)]
+                             seed=5) for t in (1.0, 2.0)]
 
     def bits(pair):
         return [({v: a.hex() for v, a in lane.alpha.items()}, lane.omega, lane.eta)
-                for lane in (pair.top, pair.bot)] + [pair.origin_records, pair.event_count]
+                for lane in (pair.top, pair.bot)] + [pair.event_count]
 
     cached = rounds()
     assert cached[0].top.graph is cached[1].top.graph is cached[1].bot.graph

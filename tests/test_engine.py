@@ -17,7 +17,7 @@ from exactspin.engine import (
 from exactspin.lattice import build_box, neighbors
 from exactspin.randomness import event_stream
 
-from oracle import exterior_boundary
+from oracle import exterior_boundary, recorded_origin
 
 
 def test_engine_stream_matches_object_stream():
@@ -203,17 +203,19 @@ def test_mixed_monitoring_fails_without_padding():
 
 
 def test_origin_records():
+    # the recorder sees every update at the origin, and the last one sets
+    # the origin's final lanes
     box = build_box(2, 2)
     lat = SwmLattice(box.vertices())
-    res = swm_sandwich(
-        lat, beta=0.5, k=2, eps=0.15, t_start=-6.0, t_end=0.0, seed=4,
-        origin=(0, 0),
-    )
+    res, records = recorded_origin(lambda: swm_sandwich(
+        lat, beta=0.5, k=2, eps=0.15, t_start=-6.0, t_end=0.0, seed=4), (0, 0))
     evs = [e for e in event_stream(box, -6.0, 0.0, 4) if e.vertex == (0, 0)]
-    assert len(res.origin_records) == len(evs)
-    assert [t for t, _ in res.origin_records] == [e.time for e in evs]
-    for _, eq in res.origin_records:
+    assert len(records) == len(evs)
+    assert [t for t, _ in records] == [e.time for e in evs]
+    for _, eq in records:
         assert eq in (0, 1)
+    i = lat.index[(0, 0)]
+    assert records[-1][1] == (res.top[i] == res.bot[i])
 
 
 def test_nested_window_monotonicity_of_extremal_runs():
@@ -256,17 +258,17 @@ def test_swapped_lanes_raise_monotonicity_error():
         assert str(first.vertex) in str(err.value)
 
 
-def _dependency_oracle(lat, events, targets, origin):
+def _dependency_oracle(lat, events, targets):
     """Number of events the targets' final values depend on, as the
-    fixed point of: an event is kept when it is at ``origin``, or when
-    it is the last event at its site before a read of that site; a read
-    is the window's end at a target, or a kept event at a neighbour."""
+    fixed point of: an event is kept when it is the last event at its
+    site before a read of that site; a read is the window's end at a
+    target, or a kept event at a neighbour."""
     times = {v: [] for v in lat.vertices}
     for e in events:
         times[e.vertex].append(e.time)
     reads = {(v, math.inf) for v in targets}
     while True:
-        kept = {(origin, t) for t in times[origin]}
+        kept = set()
         for v, r in reads:
             i = bisect_left(times[v], r)
             if i:
@@ -302,10 +304,11 @@ def _hex_at(res, lat, sites):
 @pytest.mark.parametrize("d, radius", [(1, 6), (2, 3), (3, 2)])
 @pytest.mark.parametrize("beta", [0.0, 0.32, 1.0])
 def test_targeted_run_matches_full_lanes(d, radius, beta):
-    # the targets' values and the origin records have the full run's
-    # bits, under constant and mixed boundaries, a reseed and an offset;
-    # every other site is NaN, and exactly the events the targets and
-    # origin records depend on run, never more than the monotone cone
+    # the targets' values have the full run's bits, under constant and
+    # mixed boundaries, a reseed and an offset, and so does every kept
+    # event at the first target (its records are a subset of the full
+    # run's); every other site is NaN, and exactly the events the
+    # targets depend on run, never more than the monotone cone
     box = build_box(d, radius)
     lat = SwmLattice(box.vertices())
     k = required_digits(MODEL_SWM, beta, d, 0.1)
@@ -324,17 +327,19 @@ def test_targeted_run_matches_full_lanes(d, radius, beta):
         if bc is not None:
             case.update(bc_top=bc, bc_bot=bc)
         for t in (1.0, 4.0, 12.0):
-            full = swm_sandwich(lat, beta, k, 0.1, -t, 0.0, seed, origin=targets[0], **case)
-            cone = swm_sandwich(lat, beta, k, 0.1, -t, 0.0, seed, origin=targets[0],
-                                targets=targets, **case)
+            full, full_rec = recorded_origin(
+                lambda: swm_sandwich(lat, beta, k, 0.1, -t, 0.0, seed, **case), targets[0])
+            cone, cone_rec = recorded_origin(
+                lambda: swm_sandwich(lat, beta, k, 0.1, -t, 0.0, seed, targets=targets, **case),
+                targets[0])
             assert _hex_at(cone, lat, targets) == _hex_at(full, lat, targets)
-            assert [(x.hex(), e) for x, e in cone.origin_records] == [
-                (x.hex(), e) for x, e in full.origin_records]
+            assert set(cone_rec) <= set(full_rec)
+            assert cone_rec[-1:] == full_rec[-1:]
             others = [lat.index[v] for v in lat.vertices if v not in targets]
             assert np.isnan(cone.top[others]).all() and np.isnan(cone.bot[others]).all()
             if "offset" not in case:
                 events = event_stream(box, -t, 0.0, seed, reseed=case.get("reseed"))
-                assert cone.event_count == _dependency_oracle(lat, events, targets, targets[0])
+                assert cone.event_count == _dependency_oracle(lat, events, targets)
                 monotone = _cone_oracle(lat, events, targets)
                 assert cone.event_count <= monotone
                 below_cone += cone.event_count < monotone
@@ -349,8 +354,9 @@ def test_targeted_run_prunes_only_the_last_chunk(monkeypatch):
     box = build_box(2, 3)
     lat = SwmLattice(box.vertices())
     target = [(1, -1)]
-    full = swm_sandwich(lat, 0.32, 2, 0.1, -12.0, 0.0, 4, origin=target[0])
-    one_chunk = swm_sandwich(lat, 0.32, 2, 0.1, -12.0, 0.0, 4, origin=target[0], targets=target)
+    full, full_rec = recorded_origin(
+        lambda: swm_sandwich(lat, 0.32, 2, 0.1, -12.0, 0.0, 4), target[0])
+    one_chunk = swm_sandwich(lat, 0.32, 2, 0.1, -12.0, 0.0, 4, targets=target)
     monkeypatch.setattr(engine, "_CHUNK_EVENTS", 2.5 * lat.size)  # 2.5 time units
     chunks = []
     real_chunk = engine._swm_chunk
@@ -360,22 +366,23 @@ def test_targeted_run_prunes_only_the_last_chunk(monkeypatch):
         return real_chunk(*args)
 
     monkeypatch.setattr(engine, "_swm_chunk", counted)
-    split = swm_sandwich(lat, 0.32, 2, 0.1, -12.0, 0.0, 4, origin=target[0], targets=target)
+    split, split_rec = recorded_origin(
+        lambda: swm_sandwich(lat, 0.32, 2, 0.1, -12.0, 0.0, 4, targets=target), target[0])
     assert len(chunks) == 5
     assert _hex_at(split, lat, target) == _hex_at(full, lat, target)
-    assert split.origin_records == full.origin_records
+    # the full earlier chunks record every update there, the last chunk its kept ones
+    assert [r for r in split_rec if r[0] <= -2.0] == [r for r in full_rec if r[0] <= -2.0]
+    assert set(split_rec) <= set(full_rec)
     last = event_stream(box, -2.0, 0.0, 4)
     assert split.event_count == len(event_stream(box, -12.0, -2.0, 4)) + _dependency_oracle(
-        lat, last, target, target[0])
+        lat, last, target)
     assert one_chunk.event_count < split.event_count < full.event_count
 
 
-def test_targets_reject_core_mask_and_an_origin_outside():
+def test_targets_reject_a_core_mask():
     box = build_box(2, 2)
     lat = SwmLattice(box.vertices())
     core = lat.mask(lambda v: v == (0, 0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="core_mask"):
         swm_sandwich(lat, 0.5, 2, 0.15, -2.0, 0.0, 1, core_mask=core, slab_lo=-1.0,
                      targets=[(0, 0)])
-    with pytest.raises(ValueError):
-        swm_sandwich(lat, 0.5, 2, 0.15, -2.0, 0.0, 1, origin=(1, 0), targets=[(0, 0)])

@@ -12,19 +12,27 @@ counted, not in any trajectory: ``offset_core`` after ``event_count``
 stopped counting the events a monitored run never processed (seed 17
 exits at slab entry and now reports its 398 run-in events, not 501;
 setting its count back to 501 gives the old digest ``1287d56c...``).
+
+The per-update equality records at one site that the digests hash were
+once returned by the engine and ``sandwich_run``.  They now come from
+the tests: ``oracle.recorded_origin`` watches the SWM runs, and the XY
+digests step the lanes through the window's events themselves, checking
+that they end on ``sandwich_run``'s lanes.  The hex strings are the
+recorded ones.
 """
 
 import hashlib
 
 import pytest
 
-from exactspin.cftp import MODEL_XY, auto_window, sandwich_run
+from exactspin.cftp import MODEL_XY, _xy_equal_at, auto_window, sandwich_run, xy_sandwich_steps
 from exactspin.coarse import CoarseParams, cell_is_good, cell_is_mixed
 from exactspin.engine import SwmLattice, swm_sandwich
 from exactspin.lattice import build_box
 from exactspin.randomness import event_stream
+from exactspin.xy import xy_extremes
 
-from oracle import exterior_boundary
+from oracle import exterior_boundary, recorded_origin
 
 
 def _digest(items) -> str:
@@ -40,10 +48,10 @@ def _digest(items) -> str:
 
 def _run_digest(*runs) -> str:
     items = []
-    for res in runs:
+    for res, records in runs:
         items += [float(x) for x in res.top]
         items += [float(x) for x in res.bot]
-        for t, eq in res.origin_records:
+        for t, eq in records:
             items += [float(t), int(eq)]
         items += [res.event_count, res.mixed_ok]
     return _digest(items)
@@ -51,14 +59,14 @@ def _run_digest(*runs) -> str:
 
 def _plain():
     lat = SwmLattice(build_box(2, 4).vertices())
-    return [swm_sandwich(lat, 0.5, 2, 0.15, -8.0, 0.0, seed=3, origin=(0, 0))]
+    return [recorded_origin(lambda: swm_sandwich(lat, 0.5, 2, 0.15, -8.0, 0.0, seed=3), (0, 0))]
 
 
 def _reseed():
     lat = SwmLattice(build_box(2, 4).vertices())
     reseed = {(0, 0): 999, (1, -1): 12345, (3, 3): 7}
-    return [swm_sandwich(lat, 0.5, 2, 0.15, -8.0, -0.5, seed=3, reseed=reseed,
-                         origin=(1, -1))]
+    return [recorded_origin(lambda: swm_sandwich(lat, 0.5, 2, 0.15, -8.0, -0.5, seed=3,
+                                                 reseed=reseed), (1, -1))]
 
 
 def _offset_core():
@@ -67,8 +75,9 @@ def _offset_core():
     lat = SwmLattice(build_box(2, 4).vertices())
     core = lat.mask(lambda v: max(abs(c) for c in v) < 2)
     return [
-        swm_sandwich(lat, 0.05, 1, 0.1, -12.0, -2.0, seed=seed, core_mask=core,
-                     slab_lo=-4.0, offset=(8, -4), origin=(0, 0))
+        recorded_origin(lambda: swm_sandwich(lat, 0.05, 1, 0.1, -12.0, -2.0, seed=seed,
+                                             core_mask=core, slab_lo=-4.0, offset=(8, -4)),
+                        (0, 0))
         for seed in (17, 18)
     ]
 
@@ -79,8 +88,8 @@ def _mapping_boundary():
     ext = exterior_boundary(box)
     top = {y: 0.75 - 0.1 * i / len(ext) for i, y in enumerate(ext)}
     bot = {y: -0.25 + 0.05 * (i % 3) for i, y in enumerate(ext)}
-    return [swm_sandwich(lat, 1.0, 2, 0.2, -6.0, 0.0, seed=12345,
-                         bc_top=top, bc_bot=bot, origin=(1, 0))]
+    return [recorded_origin(lambda: swm_sandwich(lat, 1.0, 2, 0.2, -6.0, 0.0, seed=12345,
+                                                 bc_top=top, bc_bot=bot), (1, 0))]
 
 
 GOLDEN = {
@@ -114,14 +123,22 @@ def _xy_pairs_digest(beta, boundary) -> str:
     window = auto_window(build_box(2, 2), -6.0, 0.0, MODEL_XY, beta=beta, boundary=boundary)
     items = []
     for seed in (4, 5):
-        pair = sandwich_run(window, seed, origin=(0, 0))
+        pair = sandwich_run(window, seed)
         g = pair.top.graph
-        for tau in (pair.top, pair.bot):
+        lo, hi = xy_extremes(g, beta, bc=boundary)
+        records = []
+        for ev in xy_sandwich_steps(hi, lo, event_stream(window.region, -6.0, 0.0, seed),
+                                    window.k, window.eps):
+            if ev.vertex == (0, 0):
+                records += [float(ev.time), int(_xy_equal_at(hi, lo, (0, 0)))]
+        for tau, lane in ((pair.top, hi), (pair.bot, lo)):
+            assert {n: a.hex() for n, a in tau.alpha.items()} == {
+                n: a.hex() for n, a in lane.alpha.items()}
+            assert (tau.omega, tau.eta) == (lane.omega, lane.eta)
             items += [tau.alpha[n] for n in g.nodes]
             items += [tau.omega[e] for e in g.edges]
             items += [tau.eta[e] for e in g.edges]
-        for t, eq in pair.origin_records:
-            items += [float(t), int(eq)]
+        items += records
         items.append(pair.event_count)
     return _digest(items)
 

@@ -40,11 +40,10 @@ def _two_draw_chunk(shared):
     sums shared a draw: two ``engine._swm_draw`` calls per event.  Adds
     the events whose lane sums agree to ``shared[0]``."""
 
-    def chunk(lattice, top, bot, events, bsum_t, bsum_b, law, core, neq, check,
-              origin_idx, records):
+    def chunk(lattice, top, bot, events, bsum_t, bsum_b, law, core, neq, check):
         nbrs = lattice.nbrs
         sig, tenk, w, eps, inv_deg = law
-        for t, vi, up, ur, um in events:
+        for _, vi, up, ur, um in events:
             st = bsum_t[vi]
             sb = bsum_b[vi]
             for nj in nbrs[vi]:
@@ -60,8 +59,6 @@ def _two_draw_chunk(shared):
             bot[vi] = vb
             if check and neq:
                 return neq
-            if vi == origin_idx:
-                records.append((t, 1 if vt == vb else 0))
         return neq
 
     return chunk
