@@ -282,10 +282,6 @@ class CftpResult:
     certificate: Dict[Vertex, float]
     seed: int
 
-    @property
-    def ok(self) -> bool:
-        return not self.timed_out
-
     def to_json(self) -> str:
         def _enc(x):
             if isinstance(x, dict):
@@ -397,12 +393,15 @@ def coupling_probability(
     spin or angle (the k-truncated event).  ``throughout`` estimates the
     event that coupling holds at every time in [-s, 0] instead of at -s
     only: the lanes run to time 0 under the slab monitor of the mixed
-    cells with the origin as the core, and ``truncation`` is not used.
-    Extremal boundary conditions frozen outside the box, matching the
-    sandwich construction.
+    cells with the origin as the core, which compares exact equality, so
+    ``throughout`` with ``truncation`` raises ValueError.  Extremal
+    boundary conditions frozen outside the box, matching the sandwich
+    construction.
     """
     if not (0.0 <= s <= t and math.isfinite(t)):
         raise ValueError("need 0 <= s <= t < inf")
+    if throughout and truncation is not None:
+        raise ValueError("throughout compares exact equality: truncation must be None")
     if replicas < 1:
         raise ValueError(f"replicas must be >= 1, got {replicas!r}")
     region = build_box(d, n)

@@ -4,10 +4,13 @@ Events are numpy arrays from start to sort: the one generator,
 :func:`exactspin.randomness.block_events`, hashes the whole window at
 once, so the engine sees exactly the events of the object-level
 :func:`exactspin.randomness.event_stream`, and a stable ``argsort``
-puts them in time order.  The update loop is plain Python: the two
-lanes and the neighbour table are Python lists and each chunk's sorted
-events are converted to Python values a slice at a time.  Each update
-sums the site's neighbours inline and hands their mean to
+puts them in time order.  The lanes start at the extremal fields +1
+and -1 under a frozen boundary that is one constant per lane, so a
+site's boundary sum is its number of out-of-box neighbours times that
+constant.  The update loop is plain Python: the two lanes and the
+neighbour table are Python lists and each chunk's sorted events are
+converted to Python values a slice at a time.  Each update sums the
+site's boundary sum and in-box neighbours inline and hands their mean to
 :func:`exactspin._scalar.swm_draw`, the one SWM update, so the kernel
 only ever sees Python floats; when the two lanes' sums agree, one draw
 serves both.  Per-site stream keys come from one array hash,
@@ -96,7 +99,13 @@ def _swm_chunk(lattice, top, bot, events, bsum_t, bsum_b, law, core, neq, check)
 
 
 class SwmLattice:
-    """Precomputed geometry for engine runs on a finite vertex set."""
+    """Precomputed geometry for engine runs on a finite vertex set.
+
+    Per site: the in-box neighbour indices, in ``neighbors`` order, which
+    fixes the order of the update's sums, and ``n_out``, the number of
+    neighbours outside the set.  Each of those holds the lane's frozen
+    boundary constant, so ``n_out * zeta`` is the site's boundary sum.
+    """
 
     def __init__(self, vertices: Sequence[Vertex]):
         self.vertices: List[Vertex] = sorted(set(vertices))
@@ -105,36 +114,17 @@ class SwmLattice:
         self.d = len(self.vertices[0])
         self.index: Dict[Vertex, int] = {v: i for i, v in enumerate(self.vertices)}
         self.coords = np.array(self.vertices, np.int64)
-        # in-box neighbour indices and out-of-box neighbours, each in
-        # ``neighbors`` order, which fixes the order of the update's sums
         self.nbrs: List[Tuple[int, ...]] = []
-        self.boundary_sites: List[List[Vertex]] = []
+        self.n_out: List[int] = []
         for v in self.vertices:
             near = neighbors(v)
-            self.nbrs.append(tuple(self.index[u] for u in near if u in self.index))
-            self.boundary_sites.append([u for u in near if u not in self.index])
+            inside = tuple(self.index[u] for u in near if u in self.index)
+            self.nbrs.append(inside)
+            self.n_out.append(len(near) - len(inside))
 
     @property
     def size(self) -> int:
         return len(self.vertices)
-
-    def bsum(self, zeta) -> List[float]:
-        """Per-site sum of boundary values under the boundary condition.
-
-        ``zeta`` is a constant or a mapping vertex -> value.  A site's
-        values are added left to right: from Python 3.12 ``sum()`` of
-        floats is compensated, which can move the last bit of a sum of
-        three or more (d >= 3).
-        """
-        if isinstance(zeta, Mapping):
-            out = []
-            for b in self.boundary_sites:
-                s = 0.0
-                for y in b:
-                    s += zeta[y]
-                out.append(float(s))
-            return out
-        return [len(b) * float(zeta) for b in self.boundary_sites]
 
     def vkeys(
         self,
@@ -232,8 +222,6 @@ def swm_sandwich(
     seed: int,
     bc_top=1.0,
     bc_bot=-1.0,
-    init_top: Optional[np.ndarray] = None,
-    init_bot: Optional[np.ndarray] = None,
     reseed: Optional[Mapping[Vertex, int]] = None,
     core_mask: Optional[np.ndarray] = None,
     slab_lo: float = math.inf,
@@ -241,6 +229,10 @@ def swm_sandwich(
     targets: Optional[Sequence[Vertex]] = None,
 ) -> SwmRunResult:
     """Coupled top/bottom trajectories over region x (t_start, t_end].
+
+    The lanes start at the extremal fields +1 and -1, and every
+    out-of-box neighbour of a site holds the lane's frozen boundary
+    constant, ``bc_top`` or ``bc_bot``.
 
     When ``core_mask``/``slab_lo`` are given the run doubles as a mixed
     cell evaluation: ``mixed_ok`` reports whether top and bottom agree
@@ -266,10 +258,10 @@ def swm_sandwich(
         raise ValueError("targets exclude a core_mask")
     S = lattice.size
     deg = 2 * lattice.d
-    top = [1.0] * S if init_top is None else np.asarray(init_top, np.float64).tolist()
-    bot = [-1.0] * S if init_bot is None else np.asarray(init_bot, np.float64).tolist()
-    bsum_t = lattice.bsum(bc_top)
-    bsum_b = lattice.bsum(bc_bot)
+    top = [1.0] * S
+    bot = [-1.0] * S
+    bsum_t = [n * float(bc_top) for n in lattice.n_out]
+    bsum_b = [n * float(bc_bot) for n in lattice.n_out]
     sig = 0.0 if beta == 0.0 else 1.0 / math.sqrt(2.0 * beta * deg)
     law = (sig, float(10**k), 10.0**-k, eps, 1.0 / deg)
     vkeys = lattice.vkeys(seed, reseed, offset=offset)

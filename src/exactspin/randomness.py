@@ -223,20 +223,21 @@ def block_events(
 
 
 def event_stream(
-    region: BoxRegion | Sequence[Vertex],
+    region: BoxRegion,
     t_start: float,
     t_end: float,
     seed: int,
     reseed: Optional[Mapping[Vertex, int]] = None,
 ) -> List[UpdateEvent]:
-    """Ordered update events on region x (t_start, t_end].
+    """Ordered update events on the box region x (t_start, t_end].
 
-    Unit-rate Poisson arrivals per vertex, deterministic in the seed.
-    ``reseed`` swaps the master seed for selected vertices, which
-    re-randomizes their whole event line (used by decoupling checks).
+    Unit-rate Poisson arrivals per vertex, deterministic in the seed; a
+    radius-1 box is one site.  ``reseed`` swaps the master seed for
+    selected vertices, which re-randomizes their whole event line (used
+    by decoupling checks).
     """
     check_window(t_start, t_end)
-    verts = region.vertices() if isinstance(region, BoxRegion) else list(region)
+    verts = region.vertices()
     masters = [seed] * len(verts) if reseed is None else [reseed.get(v, seed) for v in verts]
     vkeys = vertex_keys(masters, verts)
     arrays = block_events(vkeys, *window_blocks(t_start, t_end), t_start, t_end)

@@ -17,8 +17,10 @@ that compare against it:
   ``test_xy.py``;
 - ``almost_markov_support``:
   ``test_almost_markov_update_insensitive_outside_support``;
-- ``exterior_boundary``: the boundary maps of ``test_engine.py`` and
-  ``test_golden.py``, whose ``mapping_boundary`` digest walks its order.
+- ``exterior_boundary``: the sites of the boundary maps of
+  ``test_engine.py`` and ``test_golden.py`` (``boundary_sums`` folds a
+  map into per-site sums for ``swm_chunk_run``; the ``mapping_boundary``
+  digest walks its order), and ``test_swm_lattice_counts_out_of_box_neighbours``.
 
 The first two are in ``test_cftp.py``, the XY ones in ``test_xy.py``;
 ``test_oracle.py`` and ``test_lattice.py`` check the references
@@ -31,7 +33,9 @@ and the engine and CFTP record tests), ``origin_equal_throughout``
 decides the coupling event of ``coupling_probability(throughout=True)``
 from those records, and ``xy_equal_throughout`` decides the XY one by a
 check after every event.  ``test_cftp.py`` compares both with the
-estimator.
+estimator.  ``swm_chunk_run`` drives the engine's update loop from set
+lanes under per-site boundary sums, which ``swm_sandwich`` never passes:
+the lane tests of ``test_engine.py`` and the ``mapping_boundary`` digest.
 """
 
 from __future__ import annotations
@@ -490,3 +494,40 @@ def xy_equal_throughout(region: BoxRegion, beta: float, k: int, eps: float, t: f
         else:
             after = after and equal()
     return at_entry and after
+
+
+def boundary_sums(lat: engine.SwmLattice, zeta: Mapping[Vertex, float]) -> List[float]:
+    """Per-site sums of the boundary values ``zeta`` (keyed by the sites
+    of ``exterior_boundary``) over each site's out-of-box neighbours,
+    added left to right in ``neighbors`` order."""
+    out = []
+    for v in lat.vertices:
+        s = 0.0
+        for u in neighbors(v):
+            if u not in lat.index:
+                s += zeta[u]
+        out.append(s)
+    return out
+
+
+def swm_chunk_run(lat: engine.SwmLattice, beta: float, k: int, eps: float, t_start: float,
+                  t_end: float, seed: int, top: Sequence[float], bot: Sequence[float],
+                  bsum_top: Sequence[float], bsum_bot: Sequence[float]) -> engine.SwmRunResult:
+    """The lanes ``top`` and ``bot`` (values in ``lat.vertices`` order)
+    stepped through the window's events by one ``engine._swm_chunk``
+    call under the per-site boundary sums ``bsum_top`` and ``bsum_bot``.
+
+    ``swm_sandwich`` starts the lanes at +1 and -1 under constant
+    boundaries, but its loop takes any lanes and boundary sums; this
+    drives it with others, under the law ``swm_sandwich`` builds.  No
+    core is monitored, so ``mixed_ok`` is None.
+    """
+    deg = 2 * lat.d
+    sig = 0.0 if beta == 0.0 else 1.0 / math.sqrt(2.0 * beta * deg)
+    law = (sig, float(10**k), 10.0**-k, eps, 1.0 / deg)
+    times, sidx, _, up, ur, um = engine.sorted_events(lat.vkeys(seed), t_start, t_end)
+    top, bot = [float(x) for x in top], [float(x) for x in bot]
+    engine._swm_chunk(lat, top, bot, engine._event_values(times, sidx, up, ur, um),
+                      list(bsum_top), list(bsum_bot), law, [False] * lat.size, 0, False)
+    return engine.SwmRunResult(np.array(top), np.array(bot), mixed_ok=None,
+                               event_count=times.size)

@@ -149,7 +149,7 @@ def test_cftp_single_vertex_matches_quadrature():
     samples = np.empty(n)
     for i in range(n):
         res = cftp_sample(region, [(0, 0)], MODEL_SWM, beta=1.0, seed=i, boundary=0.0)
-        assert res.ok
+        assert not res.timed_out
         samples[i] = res.values[(0, 0)]
     samples.sort()
     F = quadrature_cdf(inst, (0, 0), samples)
@@ -164,7 +164,7 @@ def test_cftp_values_stable_under_window_doubling():
     region = build_box(2, 2)
     for seed in range(40):
         res = cftp_sample(region, [(0, 0)], MODEL_SWM, beta=0.5, seed=seed, boundary=0.0)
-        assert res.ok
+        assert not res.timed_out
         t2 = res.window_t * 4
         window = auto_window(region, -t2, 0.0, MODEL_SWM, beta=0.5, boundary=0.0)
         pair = sandwich_run(window, seed)
@@ -201,7 +201,7 @@ def test_cftp_3x3_mean_matches_rejection_oracle():
     vals = np.empty(n)
     for i in range(n):
         res = cftp_sample(region, [(0, 0)], MODEL_SWM, beta=beta, seed=i, boundary=0.3)
-        assert res.ok
+        assert not res.timed_out
         vals[i] = res.values[(0, 0)]
     inst = instance_from_box(region, beta=beta, zeta=0.3)
     idx = inst.vertices.index((0, 0))
@@ -232,7 +232,7 @@ def test_cftp_xy_small_box():
     res = cftp_sample(
         region, [(0, 0)], MODEL_XY, beta=0.7, seed=4, boundary=BC_PLUS_ONE, eps=0.15
     )
-    assert res.ok
+    assert not res.timed_out
     assert 0.0 <= res.values[(0, 0)]["alpha"] <= math.pi / 2
 
 
@@ -317,6 +317,16 @@ def test_coupling_throughout_a_zero_slab_is_coupling_at_time_zero(model, d, beta
     at_time = coupling_probability(**kw)
     assert coupling_probability(throughout=True, **kw) == at_time
     assert 0.0 < at_time.probability < 1.0
+
+
+@pytest.mark.parametrize("model", [MODEL_SWM, MODEL_XY])
+def test_coupling_throughout_rejects_truncation(model):
+    # the slab monitor compares exact equality, so a truncation it would
+    # ignore is refused; the event at time -s still takes one
+    kw = dict(n=2, t=4.0, s=1.0, d=1, model=model, beta=0.1, replicas=5, seed0=3)
+    with pytest.raises(ValueError, match="truncation"):
+        coupling_probability(throughout=True, truncation=1, **kw)
+    assert 0.0 <= coupling_probability(truncation=1, **kw).probability <= 1.0
 
 
 def test_xy_coupling_at_a_vertex_reads_every_incident_bond():

@@ -17,7 +17,7 @@ from exactspin.engine import (
 from exactspin.lattice import build_box, neighbors
 from exactspin.randomness import event_stream
 
-from oracle import exterior_boundary, recorded_origin
+from oracle import boundary_sums, exterior_boundary, recorded_origin, swm_chunk_run
 
 
 def test_engine_stream_matches_object_stream():
@@ -65,11 +65,12 @@ def test_sandwich_order_always_held():
 @pytest.mark.parametrize("d", (1, 2))
 @pytest.mark.parametrize("seed", range(4))
 def test_first_update_is_swm_draw_at_neighbour_mean(d, seed):
-    # random lanes and boundary maps, run to the first event: its site
-    # takes swm_draw at the mean of its 2d neighbours (in-box lane
-    # values and boundary values alike) with sigma = 1/sqrt(2 beta D),
-    # bit for bit, and no other site moves.  Values are multiples of
-    # 2^-20, so every neighbour sum is exact in any order.
+    # random lanes and boundary maps, run through the engine's update
+    # loop to the first event: its site takes swm_draw at the mean of its
+    # 2d neighbours (in-box lane values and boundary values alike) with
+    # sigma = 1/sqrt(2 beta D), bit for bit, and no other site moves.
+    # Values are multiples of 2^-20, so every neighbour sum is exact in
+    # any order.
     rng = random.Random(seed * 10 + d)
     box = build_box(d, 2)
     lat = SwmLattice(box.vertices())
@@ -85,10 +86,10 @@ def test_first_update_is_swm_draw_at_neighbour_mean(d, seed):
     lo_bc = {y: grid_value(-1.0) for y in exterior_boundary(box)}
     hi_bc = {y: grid_value(lo_bc[y]) for y in exterior_boundary(box)}
     first = event_stream(box, -2.0, 0.0, seed)[0]
-    res = swm_sandwich(
-        lat, beta, k, eps, -2.0, first.time, seed, bc_top=hi_bc, bc_bot=lo_bc,
-        init_top=np.array([hi_vals[v] for v in lat.vertices]),
-        init_bot=np.array([lo_vals[v] for v in lat.vertices]),
+    res = swm_chunk_run(
+        lat, beta, k, eps, -2.0, first.time, seed,
+        [hi_vals[v] for v in lat.vertices], [lo_vals[v] for v in lat.vertices],
+        boundary_sums(lat, hi_bc), boundary_sums(lat, lo_bc),
     )
     deg = 2 * d
     sig = 0.0 if beta == 0.0 else 1.0 / math.sqrt(2.0 * beta * deg)
@@ -104,40 +105,38 @@ def test_first_update_is_swm_draw_at_neighbour_mean(d, seed):
 def test_evolve_single_trajectory_stays_in_range():
     box = build_box(2, 3)
     lat = SwmLattice(box.vertices())
-    init = np.zeros(lat.size)
+    zeros = [0.0] * lat.size
     # a single trajectory is a sandwich with both lanes started equal:
     # coinciding inputs give bitwise-equal updates, so the lanes stay equal
-    res = swm_sandwich(lat, 0.5, 2, 0.15, -10.0, 0.0, 5, bc_top=0.0, bc_bot=0.0,
-                       init_top=init, init_bot=init)
+    res = swm_chunk_run(lat, 0.5, 2, 0.15, -10.0, 0.0, 5, zeros, zeros, zeros, zeros)
     assert np.array_equal(res.top, res.bot)
     assert np.all(np.abs(res.top) <= 1.0)
     # deterministic in the seed
-    res2 = swm_sandwich(lat, 0.5, 2, 0.15, -10.0, 0.0, 5, bc_top=0.0, bc_bot=0.0,
-                        init_top=init, init_bot=init)
+    res2 = swm_chunk_run(lat, 0.5, 2, 0.15, -10.0, 0.0, 5, zeros, zeros, zeros, zeros)
     assert np.array_equal(res.top, res2.top)
 
 
 def test_evolve_respects_boundary_map():
     box = build_box(2, 2)
     lat = SwmLattice(box.vertices())
-    init = np.zeros(lat.size)
-    zmap = {y: 0.9 for y in exterior_boundary(box)}
-    res = swm_sandwich(lat, 2.0, 2, 0.15, -30.0, 0.0, 9, bc_top=zmap, bc_bot=zmap,
-                       init_top=init, init_bot=init)
+    zeros = [0.0] * lat.size
+    bsum = boundary_sums(lat, {y: 0.9 for y in exterior_boundary(box)})
+    res = swm_chunk_run(lat, 2.0, 2, 0.15, -30.0, 0.0, 9, zeros, zeros, bsum, bsum)
     assert np.array_equal(res.top, res.bot)
     # strong positive boundary pulls the field up
     assert res.top.mean() > 0.2
 
 
-def _evolve_pair(region, beta, hi, lo, zeta, t_start, t_end, seed):
+def _evolve_pair(region, beta, hi, lo, bc_hi, bc_lo, t_start, t_end, seed):
     """The value maps ``hi`` and ``lo`` run through the window's events as
-    the two lanes of one sandwich, under the shared boundary ``zeta``."""
+    the two lanes of one sandwich, under the boundary maps ``bc_hi`` and
+    ``bc_lo`` on ``exterior_boundary(region)``."""
     lat = SwmLattice(region.vertices())
     k = required_digits(MODEL_SWM, beta, region.d, 0.1)
-    res = swm_sandwich(
-        lat, beta, k, 0.1, t_start, t_end, seed, bc_top=zeta, bc_bot=zeta,
-        init_top=np.array([hi[v] for v in lat.vertices]),
-        init_bot=np.array([lo[v] for v in lat.vertices]),
+    res = swm_chunk_run(
+        lat, beta, k, 0.1, t_start, t_end, seed,
+        [hi[v] for v in lat.vertices], [lo[v] for v in lat.vertices],
+        boundary_sums(lat, bc_hi), boundary_sums(lat, bc_lo),
     )
     return ({v: float(res.top[lat.index[v]]) for v in lat.vertices},
             {v: float(res.bot[lat.index[v]]) for v in lat.vertices})
@@ -146,7 +145,8 @@ def _evolve_pair(region, beta, hi, lo, zeta, t_start, t_end, seed):
 def test_equal_lanes_empty_window_is_identity():
     region = build_box(2, 2)
     values = dict.fromkeys(region.vertices(), 0.25)
-    top, bot = _evolve_pair(region, 0.5, values, values, 0.0, 0.0, 0.0, seed=5)
+    zeta = dict.fromkeys(exterior_boundary(region), 0.0)
+    top, bot = _evolve_pair(region, 0.5, values, values, zeta, zeta, 0.0, 0.0, seed=5)
     assert top == bot == values
 
 
@@ -155,22 +155,29 @@ def test_equal_lanes_single_event_changes_one_site():
     values = dict.fromkeys(region.vertices(), 0.0)
     evs = event_stream(region, -4.0, 0.0, seed=3)
     first = evs[0]
-    top, bot = _evolve_pair(region, 0.5, values, values, 0.0, -4.0, first.time, seed=3)
+    zeta = dict.fromkeys(exterior_boundary(region), 0.0)
+    top, bot = _evolve_pair(region, 0.5, values, values, zeta, zeta, -4.0, first.time, seed=3)
     assert top == bot
     changed = [v for v in region.vertices() if top[v] != values[v]]
     assert changed == [first.vertex]
 
 
 def test_lanes_monotone_in_initial():
-    region = build_box(2, 2)
+    # ordered starts under ordered, different boundary maps stay ordered:
+    # the update loop raises MonotonicityError at the first event that
+    # inverts a site, and the final lanes are ordered everywhere
     rng = random.Random(1)
-    for seed in range(200):
-        lo = {v: rng.uniform(-1, 1) for v in region.vertices()}
-        hi = {v: rng.uniform(lo[v], 1.0) for v in region.vertices()}
-        bmap = {y: 0.0 for y in exterior_boundary(region)}
-        out_hi, out_lo = _evolve_pair(region, 0.5, hi, lo, bmap, -2.0, 0.0, seed)
-        for v in region.vertices():
-            assert out_lo[v] <= out_hi[v]
+    for d in (1, 2):
+        region = build_box(d, 2)
+        ext = exterior_boundary(region)
+        for seed in range(200):
+            lo = {v: rng.uniform(-1, 1) for v in region.vertices()}
+            hi = {v: rng.uniform(lo[v], 1.0) for v in region.vertices()}
+            bc_lo = {y: rng.uniform(-1, 1) for y in ext}
+            bc_hi = {y: rng.uniform(bc_lo[y], 1.0) for y in ext}
+            out_hi, out_lo = _evolve_pair(region, 0.5, hi, lo, bc_hi, bc_lo, -2.0, 0.0, seed)
+            for v in region.vertices():
+                assert out_lo[v] <= out_hi[v]
 
 
 def test_mixed_monitoring_beta_zero_couples():
@@ -250,12 +257,27 @@ def test_swapped_lanes_raise_monotonicity_error():
     # sandwich order there, and the error names that site
     box = build_box(2, 2)
     lat = SwmLattice(box.vertices())
+    low, high = [-1.0] * lat.size, [1.0] * lat.size
+    bsum_low = [-1.0 * n for n in lat.n_out]
+    bsum_high = [1.0 * n for n in lat.n_out]
     for seed in range(5):
         first = event_stream(box, -2.0, 0.0, seed)[0]
         with pytest.raises(MonotonicityError) as err:
-            swm_sandwich(lat, 1.0, 2, 0.1, -2.0, 0.0, seed, bc_top=-1.0, bc_bot=1.0,
-                         init_top=np.full(lat.size, -1.0), init_bot=np.full(lat.size, 1.0))
+            swm_chunk_run(lat, 1.0, 2, 0.1, -2.0, 0.0, seed, low, high, bsum_low, bsum_high)
         assert str(first.vertex) in str(err.value)
+
+
+@pytest.mark.parametrize("d, radius", [(1, 3), (2, 3), (3, 2)])
+def test_swm_lattice_counts_out_of_box_neighbours(d, radius):
+    # n_out[i] is the number of exterior boundary sites next to site i,
+    # which each contribute the boundary constant to its sum
+    box = build_box(d, radius)
+    lat = SwmLattice(box.vertices())
+    ext = exterior_boundary(box)
+    for v in lat.vertices:
+        near = sum(1 for y in ext if sum(abs(a - b) for a, b in zip(y, v)) == 1)
+        assert lat.n_out[lat.index[v]] == near
+    assert sum(lat.n_out) > 0
 
 
 def _dependency_oracle(lat, events, targets):

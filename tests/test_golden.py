@@ -19,6 +19,12 @@ the tests: ``oracle.recorded_origin`` watches the SWM runs, and the XY
 digests step the lanes through the window's events themselves, checking
 that they end on ``sandwich_run``'s lanes.  The hex strings are the
 recorded ones.
+
+``mapping_boundary`` was recorded when ``swm_sandwich`` took a
+vertex-to-value boundary map.  It takes constants only now, so the case
+runs the extremal starts through the engine's update loop,
+``engine._swm_chunk``, by ``oracle.swm_chunk_run``, with the map folded
+into per-site sums left to right; its hex string is unchanged.
 """
 
 import hashlib
@@ -32,7 +38,7 @@ from exactspin.lattice import build_box
 from exactspin.randomness import event_stream
 from exactspin.xy import xy_extremes
 
-from oracle import exterior_boundary, recorded_origin
+from oracle import boundary_sums, exterior_boundary, recorded_origin, swm_chunk_run
 
 
 def _digest(items) -> str:
@@ -88,8 +94,9 @@ def _mapping_boundary():
     ext = exterior_boundary(box)
     top = {y: 0.75 - 0.1 * i / len(ext) for i, y in enumerate(ext)}
     bot = {y: -0.25 + 0.05 * (i % 3) for i, y in enumerate(ext)}
-    return [recorded_origin(lambda: swm_sandwich(lat, 1.0, 2, 0.2, -6.0, 0.0, seed=12345,
-                                                 bc_top=top, bc_bot=bot), (1, 0))]
+    return [recorded_origin(lambda: swm_chunk_run(
+        lat, 1.0, 2, 0.2, -6.0, 0.0, 12345, [1.0] * lat.size, [-1.0] * lat.size,
+        boundary_sums(lat, top), boundary_sums(lat, bot)), (1, 0))]
 
 
 GOLDEN = {

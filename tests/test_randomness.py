@@ -42,7 +42,8 @@ def test_event_stream_poisson_mean():
     # Poisson(4) mean within 3 standard errors
     t = 4.0
     reps = 20000
-    counts = [len(event_stream([(0, 0)], -t, 0.0, seed=s)) for s in range(reps)]
+    site = build_box(2, 1)  # radius 1: the origin alone
+    counts = [len(event_stream(site, -t, 0.0, seed=s)) for s in range(reps)]
     mean = statistics.fmean(counts)
     stderr = math.sqrt(t / reps)
     assert abs(mean - t) < 3 * stderr
@@ -63,8 +64,9 @@ def test_event_stream_restriction_consistency():
 
 
 def test_event_stream_fractional_windows_nest():
-    big = event_stream([(3, 1)], -2.0, 0.0, seed=5)
-    small = event_stream([(3, 1)], -1.25, -0.25, seed=5)
+    site = build_box(2, 1, center=(3, 1))
+    big = event_stream(site, -2.0, 0.0, seed=5)
+    small = event_stream(site, -1.25, -0.25, seed=5)
     assert small == [e for e in big if -1.25 < e.time <= -0.25]
 
 

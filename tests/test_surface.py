@@ -8,8 +8,14 @@ harness names its trace targets in strings).  Import lines and
 docstrings do not count.  References that only the tests need live in
 ``tests/`` (see ``tests/oracle.py``).
 
-Likewise every optional parameter of a public function or method is
-passed, by keyword or by position, by some call in those files.
+Likewise every optional parameter of a public function or method, and
+of a public class's constructor (its ``__init__``, or the dataclass
+fields with defaults), is passed, by keyword or by position, by some
+call in those files.  And every public method or property of a public
+class is read as an attribute (``x.name``, or a dotted ``Class.name``
+in a string, as the harness names its trace targets) in those files,
+outside its own body.  A bare name does not count, since a local
+variable can share it.
 """
 
 import ast
@@ -27,9 +33,15 @@ _ALLOWED = {"coupling_probability", "decoupling_check",
 # optional parameters no call passes, with the reason each stays
 _UNPASSED = {
     "cli.main.argv": "the console-script entry point is called without arguments",
-    "engine.swm_sandwich.init_top": "set starts: a caller is still to come (ROADMAP item 3)",
-    "engine.swm_sandwich.init_bot": "set starts: a caller is still to come (ROADMAP item 3)",
+    "coarse.CoarseParams.eps": "coarse sweeps over eps are still to come (ROADMAP items 2, 5)",
+    "coarse.CoarseParams.k": "coarse sweeps over k are still to come (ROADMAP items 2, 5)",
+    "coarse.ThetaField.good": "theta fields of XY good cells are still to come (ROADMAP item 3)",
     "randomness.event_stream.reseed": "reseeded XY streams are still to come (ROADMAP item 3)",
+}
+
+# public methods and properties nothing reads, with the reason each stays
+_UNREAD = {
+    "coarse.ThetaField.density": "the theta subcommand is still to come (ROADMAP item 5)",
 }
 
 
@@ -97,16 +109,45 @@ def _optional_parameters(fn, is_method):
     return out
 
 
-def _public_functions(path):
-    """(qualified name, def, is_method) for each public function and
-    each public method of a public class."""
-    for node in ast.parse(path.read_text()).body:
-        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
-            yield f"{path.stem}.{node.name}", node, False
-        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+def _is_dataclass(decorator):
+    f = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return getattr(f, "id", getattr(f, "attr", None)) == "dataclass"
+
+
+def _constructor_parameters(cls):
+    """(positional index or None, name) of each constructor parameter of
+    the class ``cls`` with a default: those of its ``__init__``, else,
+    for a dataclass, its fields with defaults, indexed in field order."""
+    for sub in cls.body:
+        if isinstance(sub, ast.FunctionDef) and sub.name == "__init__":
+            return _optional_parameters(sub, True)
+    if not any(_is_dataclass(d) for d in cls.decorator_list):
+        return []
+    fields = [f for f in cls.body if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)]
+    return [(i, f.target.id) for i, f in enumerate(fields) if f.value is not None]
+
+
+def _public_members(tree):
+    """(class, def) for each public method and property of a public class."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
             for sub in node.body:
                 if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
-                    yield f"{path.stem}.{node.name}.{sub.name}", sub, True
+                    yield node, sub
+
+
+def _callables(path):
+    """(qualified name, called name, optional parameters) for each public
+    function, each public class's constructor and each public method of
+    a public class."""
+    tree = ast.parse(path.read_text())
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield f"{path.stem}.{node.name}", node.name, _optional_parameters(node, False)
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            yield f"{path.stem}.{node.name}", node.name, _constructor_parameters(node)
+    for cls, fn in _public_members(tree):
+        yield f"{path.stem}.{cls.name}.{fn.name}", fn.name, _optional_parameters(fn, True)
 
 
 def _passes(call, index, name):
@@ -126,11 +167,11 @@ def test_every_optional_parameter_is_passed_outside_the_tests():
                 calls.setdefault(name, []).append(node)
     unpassed = []
     for path in _SRC:
-        for qual, fn, is_method in _public_functions(path):
-            if fn.name in _ALLOWED:
+        for qual, called, params in _callables(path):
+            if called in _ALLOWED:
                 continue
-            for index, name in _optional_parameters(fn, is_method):
-                if not any(_passes(c, index, name) for c in calls.get(fn.name, [])):
+            for index, name in params:
+                if not any(_passes(c, index, name) for c in calls.get(called, [])):
                     unpassed.append(f"{qual}.{name}")
     assert sorted(unpassed) == sorted(_UNPASSED)
 
@@ -145,3 +186,55 @@ def test_optional_parameters_are_found_by_position_and_keyword():
     assert _passes(call, 1, "b") and not _passes(call, None, "c")
     assert _passes(ast.parse("f(1, c=3)").body[0].value, None, "c")
     assert _passes(ast.parse("f(**kw)").body[0].value, None, "c")
+
+
+def test_constructor_parameters_are_found():
+    tree = ast.parse("@dataclass(frozen=True)\nclass D:\n    a: int\n    b: int = 1\n"
+                     "    c: list = field(default_factory=list)\n"
+                     "class K:\n    x: int = 0\n    def __init__(self, y, z=1, *, w=2): pass\n"
+                     "class P:\n    x: int = 0\n")
+    d, k, p = tree.body
+    assert _constructor_parameters(d) == [(1, "b"), (2, "c")]
+    assert _constructor_parameters(k) == [(1, "z"), (None, "w")]
+    assert _constructor_parameters(p) == []  # a class attribute, not a field
+    assert _passes(ast.parse("D(0, 1)").body[0].value, 1, "b")
+    assert not _passes(ast.parse("D(0, 1)").body[0].value, 2, "c")
+
+
+def _attribute_reads(tree):
+    """attribute name -> line numbers where it is read as ``x.name`` or
+    named as a dotted word of a string; docstrings do not count."""
+    prose = {id(sub.value) for sub in ast.walk(tree) if isinstance(sub, ast.Expr)}
+    reads = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in prose):
+            names = re.findall(r"(?<=\w)\.(\w+)", node.value)
+        else:
+            continue
+        for name in names:
+            reads.setdefault(name, []).append(node.lineno)
+    return reads
+
+
+def test_every_public_method_is_read_outside_the_tests():
+    reads = [(path, _attribute_reads(ast.parse(path.read_text()))) for path in _CALLERS]
+    unread = []
+    for path in _SRC:
+        for cls, fn in _public_members(ast.parse(path.read_text())):
+            if not any(not (p == path and fn.lineno <= line <= fn.end_lineno)
+                       for p, r in reads for line in r.get(fn.name, [])):
+                unread.append(f"{path.stem}.{cls.name}.{fn.name}")
+    assert sorted(unread) == sorted(_UNREAD)
+
+
+def test_members_are_found_and_only_attribute_reads_count():
+    tree = ast.parse("class K:\n    def m(self): return self.m()\n    @property\n"
+                     "    def p(self): pass\n    def _h(self): pass\n"
+                     "class _Hidden:\n    def n(self): pass\n"
+                     "ok = p = 1\nx.q()\nt = ('mod', 'K.r', 'prose. n')\n")
+    assert [(c.name, f.name) for c, f in _public_members(tree)] == [("K", "m"), ("K", "p")]
+    reads = _attribute_reads(tree)
+    assert reads == {"m": [2], "q": [9], "r": [10]}  # bare names ok and p are not reads
