@@ -129,16 +129,13 @@ def xy_sandwich_steps(
     """Step the coupled XY lanes in place through ``events``, yielding each event.
 
     Both lanes take the update at the event's vertex with the event's
-    randomness.  Where the lanes read the same inputs there (the same
-    (omega, eta) neighbour groups, the same alpha on every neighbour and
-    the same beta), one update runs on hi and its new alpha and incident
-    bonds are copied into lo, which is what lo's own update would give.
-    The sandwich order (angle of lo <= angle of hi at the
-    vertex, omega of lo >= omega of hi and eta of lo <= eta of hi on its
-    edges) is asserted after every update: a violation raises
-    MonotonicityError.  Lanes that share a triple or one of its dicts
-    raise ValueError here, before any step: they would take each update
-    twice and pass the order check trivially.
+    randomness, with the bits of two separate updates (``_xy_steps``).
+    The sandwich order (angle of lo <= angle of hi at the vertex, omega
+    of lo >= omega of hi and eta of lo <= eta of hi on its edges) is
+    asserted after every update: a violation raises MonotonicityError.
+    Lanes that share a triple or one of its dicts raise ValueError here,
+    before any step: they would take each update twice and pass the
+    order check trivially.
     """
     if hi is lo or hi.alpha is lo.alpha or hi.omega is lo.omega or hi.eta is lo.eta:
         raise ValueError("the XY lanes must not share a triple or its dicts")
@@ -146,31 +143,59 @@ def xy_sandwich_steps(
 
 
 def _xy_steps(hi, lo, events, k, eps):
-    incident, adjacent = hi.graph.incident, hi.graph.adjacent
+    """The loop of :func:`xy_sandwich_steps`; lo takes what hi computed
+    wherever its own work would give the same bits:
+
+    - the 2 deg(u) edge uniforms, hashed once: they read only the
+      event's key and slot;
+    - hi's omega (or eta) groups, when the lanes' field agrees on every
+      free edge off u's: groups read no other bond (``xy._groups``).  The
+      loop counts the free edges where the fields differ; an event
+      changes bonds on u's edges only;
+    - hi's whole update, when the lanes have the same groups, alpha on
+      N(u) and beta: the update reads nothing else.
+    """
+    graph = hi.graph
+    incident, adjacent, free_adjacent = graph.incident, graph.adjacent, graph.free_adjacent
     hi_alpha, hi_omega, hi_eta = hi.alpha, hi.omega, hi.eta
     lo_alpha, lo_omega, lo_eta = lo.alpha, lo.omega, lo.eta
-    same_law = hi.beta == lo.beta and hi.graph is lo.graph
+    same_graph = graph is lo.graph
+    same_law = same_graph and hi.beta == lo.beta
+    groups = xy_mod._groups
+    # each free edge once, from its lower end in the graph's order
+    free_edges = [e for v in graph.free for _, e in free_adjacent[v] if e[0] == v]
+    n_om = sum(hi_omega[e] != lo_omega[e] for e in free_edges)
+    n_et = sum(hi_eta[e] != lo_eta[e] for e in free_edges)
     for ev in events:
         u = ev.vertex
         iota = ev.randomness
+        own = free_adjacent[u]
+        for _, e in own:
+            n_om -= hi_omega[e] != lo_omega[e]
+            n_et -= hi_eta[e] != lo_eta[e]
+        uniforms = [iota.edge_uniform(s) for s in range(2 * len(incident[u]))]
         g_hi = _lane_groups(hi, u)
-        g_lo = _lane_groups(lo, u)
+        g_lo = (g_hi[0] if same_graph and not n_om else groups(lo, u, lo_omega),
+                g_hi[1] if same_graph and not n_et else groups(lo, u, lo_eta))
         shared = same_law and g_hi == g_lo and all(
             hi_alpha[v] == lo_alpha[v] for v, _ in adjacent[u]
         )
-        xy_full_update(hi, u, iota, k, eps, g_hi)
+        xy_full_update(hi, u, iota, k, eps, g_hi, uniforms)
         if shared:
             lo_alpha[u] = hi_alpha[u]
             for e in incident[u]:
                 lo_omega[e] = hi_omega[e]
                 lo_eta[e] = hi_eta[e]
         else:
-            xy_full_update(lo, u, iota, k, eps, g_lo)
+            xy_full_update(lo, u, iota, k, eps, g_lo, uniforms)
         if hi_alpha[u] < lo_alpha[u]:
             raise MonotonicityError(f"angle order violated at {u}, t={ev.time}")
         for e in incident[u]:
             if lo_omega[e] < hi_omega[e] or lo_eta[e] > hi_eta[e]:
                 raise MonotonicityError(f"edge order violated at {e}, t={ev.time}")
+        for _, e in own:
+            n_om += hi_omega[e] != lo_omega[e]
+            n_et += hi_eta[e] != lo_eta[e]
         yield ev
 
 

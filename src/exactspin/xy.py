@@ -18,9 +18,11 @@ edges are resampled one at a time from their exact conditionals with
 the not-yet-resampled incident edges summed out.  That conditional lies
 in the FK bracket [p/(2-p), p] of the edge's weight p, so a uniform
 outside the bracket widened by 1e-12 decides the edge without the 2^m
-enumeration, with the same bit.  Boundary vertices are frozen singleton
-clusters: they are leaf-split so no connectivity ever passes through
-them, and their angles are fixed by the boundary condition.
+enumeration, with the same bit.  An unmatched draw's refinement
+returns the bisection's bits from a certified closed-form root when it
+can (``_certified_root``).  Boundary vertices are frozen leaves (one
+edge each): no connectivity passes through them, and their angles are
+fixed by the boundary condition.
 
 ``xy_full_update`` changes its triple in place.  The log-cosh terms and
 the cosh-product CDF grids are memoised in small LRU caches of read-only
@@ -28,10 +30,12 @@ arrays, keyed on the exact floats the uncached formula reads, so a hit
 returns the same bits; so are the edge enumeration's powers of two.
 
 An update at u reads only alpha on N(u), u's (omega, eta) neighbour
-groups, beta and the event's randomness.  So when two sandwich lanes
-agree on all of those, the sandwich loop (``cftp``) runs one update on
-the upper lane and copies the new alpha at u and omega/eta on u's
-incident edges into the lower lane: the same bits two updates give.
+groups, beta and the event's randomness, and the groups read only the
+bonds between free nodes off u's edges.  So the sandwich loop
+(``cftp._xy_steps``) hashes an event's edge uniforms once for both
+lanes, hands the lower lane the upper lane's omega or eta groups when
+the lanes agree on those bonds, and runs one update for both when they
+agree on all the inputs: the bits of two separate updates.
 
 Group sums are explicit left folds, not ``sum()``: from Python 3.12
 ``sum()`` of floats is compensated (Neumaier), which changes the last
@@ -41,10 +45,10 @@ bit of some sums of three or more terms and so the trajectories.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -85,22 +89,26 @@ class XyGraph:
             e = (a, b) if _node_key(a) <= _node_key(b) else (b, a)
             if e in seen:
                 continue
-            if a not in node_set or b not in node_set:
-                raise ValueError(f"edge {e} references unknown node")
+            if a == b or a not in node_set or b not in node_set:
+                raise ValueError(f"edge {e} is a loop or references unknown node")
             seen.add(e)
             self.edges.append(e)
         self.edges.sort(key=lambda e: (_node_key(e[0]), _node_key(e[1])))
         self.incident: Dict[object, List[Tuple]] = {n: [] for n in self.nodes}
-        for e in self.edges:
+        for e in self.edges:  # so each incident list is in edge order
             a, b = e
             self.incident[a].append(e)
             self.incident[b].append(e)
-        for n in self.nodes:
-            self.incident[n].sort(key=lambda e: (_node_key(e[0]), _node_key(e[1])))
+        if any(len(self.incident[n]) != 1 for n in self.frozen):
+            raise ValueError("a frozen node must be a leaf: one edge")
         self.is_frozen = {n: (n in frozen_set) for n in self.nodes}
-        # (neighbour, edge) pairs in incident-edge order
+        # (neighbour, edge) pairs in incident-edge order, and their free part
         self.adjacent: Dict[object, List[Tuple]] = {
             n: [(self.other(e, n), e) for e in self.incident[n]] for n in self.nodes
+        }
+        self.free_adjacent: Dict[object, List[Tuple]] = {
+            n: [(v, e) for v, e in self.adjacent[n] if v in free_set] if n in free_set else []
+            for n in self.nodes
         }
 
     def other(self, edge: Tuple, node) -> object:
@@ -195,26 +203,27 @@ def xy_extremes(graph: XyGraph, beta: float, bc: Optional[str] = None) -> Tuple[
 
 def _groups(tau: XyTriple, u, bond: Dict[Tuple, int]) -> List[List]:
     """Partition of N(u) into components of the bond percolation on the
-    graph without u; frozen nodes are never expanded (singleton transit
-    block), so connectivity cannot run through the boundary."""
-    adjacent, is_frozen = tau.graph.adjacent, tau.graph.is_frozen
-    targets = [t for t, _ in adjacent[u]]
-    seen: Set = set()
+    graph without u: groups in the order of their first target, targets
+    in incident order.  The search walks edges between free nodes only.
+    A frozen node is a leaf (``XyGraph``), so as a target its one edge is
+    u's: it is a singleton group and no connectivity runs through it."""
+    graph = tau.graph
+    free_adjacent = graph.free_adjacent
+    label = {u: -1}
     groups: List[List] = []
-    for t in targets:
-        if t in seen:
+    for t, _ in graph.adjacent[u]:
+        gi = label.get(t)
+        if gi is not None:
+            groups[gi].append(t)
             continue
-        comp = {t}
-        stack = [] if is_frozen[t] else [t]
+        groups.append([t])
+        gi = label[t] = len(groups) - 1
+        stack = [t]
         while stack:
-            for other, e in adjacent[stack.pop()]:
-                if other in comp or other == u or not bond.get(e, 0):
-                    continue
-                comp.add(other)
-                if not is_frozen[other]:
+            for other, e in free_adjacent[stack.pop()]:
+                if bond[e] and other not in label:
+                    label[other] = gi
                     stack.append(other)
-        seen |= comp
-        groups.append([t2 for t2 in targets if t2 in comp])
     return groups
 
 
@@ -436,30 +445,66 @@ def xy_angle_update(
         v = snap(a + (b - a) * iota.u_refine, VALUE_GRID)
         return min(HALF_PI, max(0.0, v))
 
+    residual = _cell_residual(law, a, b, fa, span, eps)
+    v = _certified_root(law, residual, iota.u_refine, a, b, span, eps)
+    if v is None:
+        v = snap(monotone_inverse(residual, iota.u_refine, a, b), VALUE_GRID)
+    return min(HALF_PI, max(0.0, v))
+
+
+def _cell_residual(law: AngleLawHandle, a: float, b: float, fa: float, span: float, eps: float):
+    """The unmatched refinement's function on the cell [a, b], fa = F_grid(a)."""
+
     def residual(x: float) -> float:
         fcell = (law.cdf(x) - fa) / span
         return (fcell - (1.0 - eps) * (x - a) / (b - a)) / eps
 
-    v = snap(monotone_inverse(residual, iota.u_refine, a, b), VALUE_GRID)
-    return min(HALF_PI, max(0.0, v))
+    return residual
+
+
+def _certified_root(law, residual, ur, a, b, span, eps) -> Optional[float]:
+    """snap(monotone_inverse(residual, ur, a, b), VALUE_GRID) if proved, else None.
+
+    The exact residual R (on its float constants) is piecewise linear, as
+    F_grid is; if each piece's slope clears (1 - eps) / (b - a) by 1e-9
+    relative, R rises.  The float residual is within E = ((1 + 6 D) / span
+    + 8) 2^-53 / eps of R, D the largest rise of F_grid between nodes on
+    the cell.  With x the closed-form root of R's crossing piece, float
+    values below ur - 2E at x - d and at least ur + 2E at x + d mean every
+    mid outside [x - d, x + d] goes as R decides it.  The loop ends with
+    adjacent lo, hi, or after 80 halvings within 2 ulp(b), so hi lies in
+    (x - d, x + d + 2 ulp(b)], where snap, monotone, is constant if its
+    ends agree.
+    """
+    F, xs = law.cdf_grid(), _XS_LIST
+    kw = (1.0 - eps) / (b - a)
+    x0, r0, x, rise = a, 0.0, None, 0.0  # R(a) is 0 exactly
+    for j in range(bisect_right(xs, a) - 1, bisect_left(xs, b)):
+        f0, f1 = F.item(j), F.item(j + 1)
+        s = (f1 - f0) / (xs[j + 1] - xs[j]) / span
+        if not s > 1.000000001 * kw:
+            return None
+        rise = max(rise, f1 - f0)
+        if x is None:
+            r1 = residual(xs[j + 1]) if xs[j + 1] < b else math.inf
+            if r1 >= ur:
+                g = (s - kw) / eps
+                x = x0 + (ur - r0) / g
+            else:
+                x0, r0 = xs[j + 1], r1
+    err = ((1.0 + 6.0 * rise) / span + 8.0) * 1.1102230246251565e-16 / eps
+    d = 5.0 * err / g + 4.0 * math.ulp(b)
+    ym, yp = x - d, x + d
+    if not (a < ym and yp < b and residual(ym) < ur - 2.0 * err
+            and residual(yp) >= ur + 2.0 * err):
+        return None
+    v = snap(ym, VALUE_GRID)
+    return v if v == snap(yp + 2.0 * math.ulp(b), VALUE_GRID) else None
 
 
 # ---------------------------------------------------------------------------
 # Edge updates
 # ---------------------------------------------------------------------------
-
-
-def _edge_weight_p(beta: float, au: float, av: float, kind: str) -> float:
-    if kind == "omega":
-        x = beta * math.cos(au) * math.cos(av)
-    else:
-        x = beta * math.sin(au) * math.sin(av)
-    p = -math.expm1(-2.0 * x)
-    if p < 0.0:
-        p = 0.0
-    elif p > 1.0:
-        p = 1.0
-    return p
 
 
 @lru_cache(maxsize=256)
@@ -538,20 +583,24 @@ def _bracket_bit(uval: float, p: float, delta: float) -> Optional[int]:
 
 
 def xy_edge_update(
-    tau: XyTriple, u, iota: UpdateRandomness, groups: Groups
+    tau: XyTriple, u, uniforms: Sequence[float], groups: Groups
 ) -> Tuple[Dict[Tuple, int], Dict[Tuple, int]]:
     """Resample the edges incident to u given the fresh angle at u.
 
     Edges are decided one at a time in the fixed lexicographic order,
     each from its exact conditional with the not-yet-decided incident
-    edges summed out, using one independent uniform per (edge, field).
+    edges summed out, using one independent uniform per (edge, field):
+    ``uniforms[2 i]`` for omega and ``uniforms[2 i + 1]`` for eta on
+    incident edge i, from ``UpdateRandomness.edge_uniform`` of the slot.
     Monotone under the triple order for shared uniforms.  Returns the
     new omega and eta values on the incident edges; ``groups`` are u's
     (omega, eta) neighbour groups from :func:`_lane_groups`.
 
-    For an edge of weight p the bit is 1 when its uniform is below
-    p/(2-p) - 1e-12 and 0 when it is at least p + 1e-12 (the FK bracket,
-    ``_bracket_bit``); only a uniform in between runs the enumeration.
+    The weight p = 1 - exp(-2 beta cos(alpha_u) cos(alpha_v)) of omega
+    (sines for eta) lies in [0, 1]; beta cos(alpha_u) is formed once, the
+    product's bits.  The bit is 1 when its uniform is below p/(2-p) - 1e-12
+    and 0 when it is at least p + 1e-12 (the FK bracket, ``_bracket_bit``);
+    only a uniform in between runs the enumeration.
     """
     graph = tau.graph
     incident = graph.incident[u]
@@ -560,9 +609,10 @@ def xy_edge_update(
     delta = _BRACKET_DELTA if len(incident) <= _BRACKET_MAX_EDGES else math.inf
     new_omega: Dict[Tuple, int] = {}
     new_eta: Dict[Tuple, int] = {}
-    for kind, kind_groups, out, slot0 in (
-        ("omega", groups[0], new_omega, 0),
-        ("eta", groups[1], new_eta, 1),
+    expm1 = math.expm1
+    for f, bu, kind_groups, out, slot0 in (
+        (math.cos, beta * math.cos(au), groups[0], new_omega, 0),
+        (math.sin, beta * math.sin(au), groups[1], new_eta, 1),
     ):
         # connectivity blocks of the neighbour targets, not through u,
         # with the undecided incident edges removed (they are summed out)
@@ -571,11 +621,11 @@ def xy_edge_update(
             for t in g:
                 block_of[t] = gi
         n_blocks = len(kind_groups)
-        p_all = [_edge_weight_p(beta, au, alpha[v], kind) for v in nbrs]
+        p_all = [-expm1(-2.0 * (bu * f(alpha[v]))) for v in nbrs]
         blocks = tuple(block_of[v] for v in nbrs)
         u_linked = 0
         for i, e in enumerate(incident):
-            uval = iota.edge_uniform(2 * i + slot0)
+            uval = uniforms[2 * i + slot0]
             bit = _bracket_bit(uval, p_all[i], delta)
             if bit is None:
                 prob = _conditional_open_prob(p_all[i:], blocks[i:], u_linked, n_blocks)
@@ -587,16 +637,18 @@ def xy_edge_update(
 
 
 def xy_full_update(
-    tau: XyTriple, u, iota: UpdateRandomness, k: int, eps: float, groups: Groups
+    tau: XyTriple, u, iota: UpdateRandomness, k: int, eps: float, groups: Groups,
+    uniforms: Sequence[float],
 ) -> XyTriple:
     """Angle then incident edges, in place; returns ``tau``.
 
     ``groups`` are u's neighbour groups from :func:`_lane_groups`, shared
     by both stages: they do not depend on the angle at u or on u's
-    incident edges.
+    incident edges.  ``uniforms`` are the event's edge uniforms, as
+    :func:`xy_edge_update` reads them.
     """
     tau.alpha[u] = xy_angle_update(tau, u, iota, k, eps, groups)
-    om, et = xy_edge_update(tau, u, iota, groups)
+    om, et = xy_edge_update(tau, u, uniforms, groups)
     tau.omega.update(om)
     tau.eta.update(et)
     return tau

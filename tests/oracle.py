@@ -17,6 +17,8 @@ that compare against it:
   ``test_xy.py``;
 - ``almost_markov_support``:
   ``test_almost_markov_update_insensitive_outside_support``;
+- ``neighbour_groups``, the search over every node that the free-node
+  search of ``xy._groups`` replaced: ``test_groups_match_the_full_search``;
 - ``exterior_boundary``: the sites of the boundary maps of
   ``test_engine.py`` and ``test_golden.py`` (``boundary_sums`` folds a
   map into per-site sums for ``swm_chunk_run``; the ``mapping_boundary``
@@ -299,6 +301,33 @@ def xy_leq(a: XyTriple, b: XyTriple) -> bool:
         and all(a.omega[e] >= b.omega[e] for e in a.graph.edges)
         and all(a.eta[e] <= b.eta[e] for e in a.graph.edges)
     )
+
+
+def neighbour_groups(tau: XyTriple, u, bond: Mapping[Tuple, int]) -> List[List]:
+    """Partition of N(u) into components of the bond percolation on the
+    graph without u, by a search over every node; frozen nodes are never
+    expanded (singleton transit block), so connectivity cannot run through
+    the boundary.  Groups come in the order of their first target and list
+    their targets in incident order."""
+    adjacent, is_frozen = tau.graph.adjacent, tau.graph.is_frozen
+    targets = [t for t, _ in adjacent[u]]
+    seen: Set = set()
+    groups: List[List] = []
+    for t in targets:
+        if t in seen:
+            continue
+        comp = {t}
+        stack = [] if is_frozen[t] else [t]
+        while stack:
+            for other, e in adjacent[stack.pop()]:
+                if other in comp or other == u or not bond.get(e, 0):
+                    continue
+                comp.add(other)
+                if not is_frozen[other]:
+                    stack.append(other)
+        seen |= comp
+        groups.append([t2 for t2 in targets if t2 in comp])
+    return groups
 
 
 def almost_markov_support(tau: XyTriple, u) -> Tuple[Set, Set]:

@@ -129,31 +129,42 @@ def test_traced_engine_attributes_are_called(monkeypatch):
 
 
 def _shared_events(window, seed):
-    """Events at which the two lanes read the same update inputs, found by
-    stepping both lanes separately through the run's events."""
-    lo, hi = xy.xy_extremes(xy.box_graph(window.region), window.beta, bc=window.boundary)
-    shared = 0
+    """Events at which the two lanes read the same update inputs, and bond
+    fields (omega or eta) on which the lanes agree at every edge between
+    free nodes off u's edges, found by stepping both lanes separately
+    through the run's events."""
+    graph = xy.box_graph(window.region)
+    lo, hi = xy.xy_extremes(graph, window.beta, bc=window.boundary)
+    shared = agreeing = 0
     for ev in cftp.event_stream(window.region, window.t_start, window.t_end, seed):
         u = ev.vertex
         g_hi, g_lo = xy._lane_groups(hi, u), xy._lane_groups(lo, u)
         shared += g_hi == g_lo and all(
             hi.alpha[v] == lo.alpha[v] for v in hi.graph.neighbors_of(u))
-        xy.xy_full_update(hi, u, ev.randomness, window.k, window.eps, g_hi)
-        xy.xy_full_update(lo, u, ev.randomness, window.k, window.eps, g_lo)
-    return shared, lo, hi
+        off = [e for e in graph.edges if u not in e
+               and not (graph.is_frozen[e[0]] or graph.is_frozen[e[1]])]
+        for field in ("omega", "eta"):
+            a, b = getattr(hi, field), getattr(lo, field)
+            agreeing += all(a[e] == b[e] for e in off)
+        uniforms = [ev.randomness.edge_uniform(s) for s in range(2 * len(graph.incident[u]))]
+        xy.xy_full_update(hi, u, ev.randomness, window.k, window.eps, g_hi, uniforms)
+        xy.xy_full_update(lo, u, ev.randomness, window.k, window.eps, g_lo, uniforms)
+    return shared, agreeing, lo, hi
 
 
 def test_traced_xy_attributes_are_called(monkeypatch):
     # perfbench reads the XY path through cftp.xy_full_update, xy._groups,
     # xy.AngleLawHandle.cdf_grid and xy.XyTriple.copy: neighbour groups
-    # once per lane and bond field, one lane update per event and lane
-    # except at the events where both lanes read the same inputs (one
-    # update there, copied), each in place, and no triple copy in the loop.
+    # once per lane and bond field, except that the lower lane takes the
+    # upper lane's groups of a field on which the lanes agree off u's
+    # edges; one lane update per event and lane except at the events where
+    # both lanes read the same inputs (one update there, copied), each in
+    # place, and no triple copy in the loop.
     # It counts a grid build as a cdf_grid call on a handle without its
     # grid: the builds are the unmatched draws plus the matched draws
     # whose cell matched_cell could not certify
     window = cftp.auto_window(build_box(2, 2), -8.0, 0.0, "xy", 0.3, boundary="+1")
-    shared, lo_ref, hi_ref = _shared_events(window, seed=3)
+    shared, agreeing, lo_ref, hi_ref = _shared_events(window, seed=3)
     calls = {"xy_full_update": 0, "_groups": 0, "cdf_grid": 0, "copy": 0,
              "matched_cell": 0, "uncertified": 0}
 
@@ -178,7 +189,8 @@ def test_traced_xy_attributes_are_called(monkeypatch):
     pair = cftp.sandwich_run(window, seed=3)
     assert 0 < shared < pair.event_count
     assert calls["xy_full_update"] == 2 * pair.event_count - shared
-    assert calls["_groups"] == 4 * pair.event_count
+    assert 0 < agreeing < 2 * pair.event_count
+    assert calls["_groups"] == 4 * pair.event_count - agreeing
     unmatched = calls["xy_full_update"] - calls["matched_cell"]
     assert 0 < unmatched < calls["matched_cell"]
     assert calls["cdf_grid"] == unmatched + calls["uncertified"]

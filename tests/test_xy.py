@@ -8,7 +8,8 @@ from exactspin import cftp as cftp_mod
 from exactspin import xy as xy_mod
 from exactspin.cftp import auto_window, sandwich_run, xy_sandwich_steps
 from exactspin.lattice import build_box
-from exactspin.randomness import UpdateEvent, mix64
+from exactspin._scalar import VALUE_GRID, snap
+from exactspin.randomness import UpdateEvent, event_stream, mix64, monotone_inverse
 from exactspin.xy import (
     _XS,
     _conditional_open_prob,
@@ -33,6 +34,7 @@ from oracle import (
     almost_markov_support,
     component_representative,
     enumerate_xy,
+    neighbour_groups,
     percolation_components,
     xy_angle_density_oracle,
     xy_leq,
@@ -43,6 +45,12 @@ from oracle import (
 
 def _iota(key):
     return keyed_randomness(mix64(key))
+
+
+def _uniforms(tau, u, iota):
+    """The event's edge uniforms, slot by slot, as the sandwich loop
+    hashes them once for both lanes."""
+    return [iota.edge_uniform(s) for s in range(2 * len(tau.graph.incident[u]))]
 
 
 def _law_log_density(law):
@@ -88,6 +96,51 @@ def test_box_graph_leaf_split():
     # each side contributes 3 leaves: 12 boundary contacts in total
     assert len(g.frozen) == 12
     assert len(g.edges) == 12 + 12
+
+
+def test_frozen_nodes_must_be_leaves():
+    u, v = (0,), (1,)
+    leaf, other = ("b", (2,), v), ("b", (3,), v)
+    g = XyGraph(free=[u, v], edges=[(u, v), (v, leaf)], frozen=[leaf])
+    assert g.frozen == [leaf]
+    assert g.free_adjacent == {u: [(v, (u, v))], v: [(u, (u, v))], leaf: []}
+    # a frozen node takes no update, in the sandwich loop either
+    lo, hi = xy_extremes(g, 1.0, bc=BC_PLUS_ONE)
+    with pytest.raises(ValueError, match="frozen"):
+        list(xy_sandwich_steps(hi, lo, [UpdateEvent(leaf, -0.5, _iota(1))], k=1, eps=0.1))
+    with pytest.raises(ValueError, match="leaf"):
+        XyGraph(free=[u, v], edges=[(u, v)], frozen=[leaf])  # degree 0
+    with pytest.raises(ValueError, match="leaf"):  # degree 2: u - leaf - v
+        XyGraph(free=[u, v], edges=[(u, leaf), (leaf, v)], frozen=[leaf])
+    with pytest.raises(ValueError, match="leaf"):  # degree 2: two free ends
+        XyGraph(free=[u, v], edges=[(u, leaf), (v, leaf), (u, other)], frozen=[leaf, other])
+    with pytest.raises(ValueError, match="loop"):
+        XyGraph(free=[u], edges=[(u, u)])
+    # box graphs leaf-split every boundary contact
+    for d, radius in ((1, 1), (2, 2), (3, 2)):
+        g = box_graph(build_box(d, radius))
+        assert all(len(g.incident[n]) == 1 for n in g.frozen)
+
+
+def test_groups_match_the_full_search():
+    # the free-node search against the search over every node, on random
+    # bond fields of box graphs, at every free u, for both bond kinds
+    rng = random.Random(5)
+    fields = checked = 0
+    for d in (1, 2):
+        for radius in (1, 2, 3):
+            g = box_graph(build_box(d, radius))
+            for _ in range(1000 // (2 * d * radius)):
+                p = rng.choice([0.1, 0.3, 0.5, 0.7, 0.9, 1.0])
+                tau = _random_triple(g, 1.0, rng)
+                for bond in (tau.omega, tau.eta):
+                    for e in bond:
+                        bond[e] = int(rng.random() < p)
+                    fields += 1
+                    for u in g.free:
+                        assert xy_mod._groups(tau, u, bond) == neighbour_groups(tau, u, bond)
+                        checked += 1
+    assert fields >= 2000 and checked > 10000
 
 
 def test_angle_law_no_neighbors_is_uniform():
@@ -217,8 +270,9 @@ def test_edge_update_cos_zero_forces_closed():
     g = XyGraph(free=[(0,), (1,)], edges=[((0,), (1,))])
     e = g.edges[0]
     tau = XyTriple(g, {(0,): HALF_PI, (1,): HALF_PI}, {e: 1}, {e: 1}, beta=1.5)
+    u = (0,)
     for key in range(200):
-        om, et = xy_edge_update(tau, (0,), _iota(key), _lane_groups(tau, (0,)))
+        om, et = xy_edge_update(tau, u, _uniforms(tau, u, _iota(key)), _lane_groups(tau, u))
         assert om[e] == 0  # cos factors vanish
         assert et[e] >= 0  # eta unconstrained here
 
@@ -232,8 +286,9 @@ def test_edge_update_two_vertex_marginal():
     law = enumerate_xy(g, alpha, beta)
     n = 50000
     om_hits = et_hits = 0
+    u = (0,)
     for key in range(n):
-        om, et = xy_edge_update(tau, (0,), _iota(key), _lane_groups(tau, (0,)))
+        om, et = xy_edge_update(tau, u, _uniforms(tau, u, _iota(key)), _lane_groups(tau, u))
         om_hits += om[e]
         et_hits += et[e]
     for hits, expect in ((om_hits, law.omega_marginal(e)), (et_hits, law.eta_marginal(e))):
@@ -255,7 +310,7 @@ def test_edge_update_star_joint_matches_enumeration():
     counts = {}
     n = 60000
     for key in range(n):
-        om, _ = xy_edge_update(tau, u, _iota(key), _lane_groups(tau, u))
+        om, _ = xy_edge_update(tau, u, _uniforms(tau, u, _iota(key)), _lane_groups(tau, u))
         cfg = (om[e1], om[e2])
         counts[cfg] = counts.get(cfg, 0) + 1
     for cfg, prob in law.omega_probs.items():
@@ -273,8 +328,9 @@ def test_edge_update_monotone():
         lo.alpha[(0, 0)] = 0.4
         hi.alpha[(0, 0)] = 0.9
         iota = _iota(key)
-        om_lo, et_lo = xy_edge_update(lo, (0, 0), iota, _lane_groups(lo, (0, 0)))
-        om_hi, et_hi = xy_edge_update(hi, (0, 0), iota, _lane_groups(hi, (0, 0)))
+        u = (0, 0)
+        om_lo, et_lo = xy_edge_update(lo, u, _uniforms(lo, u, iota), _lane_groups(lo, u))
+        om_hi, et_hi = xy_edge_update(hi, u, _uniforms(hi, u, iota), _lane_groups(hi, u))
         for e in om_lo:
             assert om_lo[e] >= om_hi[e]
             assert et_lo[e] <= et_hi[e]
@@ -286,8 +342,10 @@ def test_full_update_preserves_order():
     for key in range(1500):
         lo, hi = _ordered_pair(g, 0.8, rng)
         iota = _iota(key)
-        new_lo = xy_full_update(lo, (0, 0), iota, k=2, eps=0.15, groups=_lane_groups(lo, (0, 0)))
-        new_hi = xy_full_update(hi, (0, 0), iota, k=2, eps=0.15, groups=_lane_groups(hi, (0, 0)))
+        new_lo = xy_full_update(lo, (0, 0), iota, k=2, eps=0.15,
+            groups=_lane_groups(lo, (0, 0)), uniforms=_uniforms(lo, (0, 0), iota))
+        new_hi = xy_full_update(hi, (0, 0), iota, k=2, eps=0.15,
+            groups=_lane_groups(hi, (0, 0)), uniforms=_uniforms(hi, (0, 0), iota))
         assert xy_leq(new_lo, new_hi)
 
 
@@ -334,9 +392,55 @@ def test_shared_lane_update_equals_two_updates(monkeypatch):
             pass
         assert calls == [u]  # one update served both lanes
         for lane, tau in ((hi, a), (lo, b)):
-            xy_full_update(tau, u, iota, k=2, eps=0.15, groups=_lane_groups(tau, u))
+            xy_full_update(tau, u, iota, k=2, eps=0.15,
+                groups=_lane_groups(tau, u), uniforms=_uniforms(tau, u, iota))
             assert _triple_bits(lane) == _triple_bits(tau)
     assert tried >= 100
+
+
+def _separate_lane_steps(hi, lo, events, k, eps):
+    """The XY sandwich loop without sharing: each lane runs its own update
+    with its own neighbour groups, from the full search, and its own
+    ``edge_uniform`` calls."""
+    for ev in events:
+        u, iota = ev.vertex, ev.randomness
+        for tau in (hi, lo):
+            groups = (neighbour_groups(tau, u, tau.omega), neighbour_groups(tau, u, tau.eta))
+            xy_full_update(tau, u, iota, k, eps, groups, _uniforms(tau, u, iota))
+
+
+@pytest.mark.parametrize("boundary", [BC_PLUS_ONE, BC_PLUS_I, None])
+@pytest.mark.parametrize("beta", [0.3, 1.0, 2.0])
+def test_sandwich_steps_match_separate_lane_updates(monkeypatch, beta, boundary):
+    # group reuse, shared edge uniforms and shared updates leave both
+    # lanes with the bits of two separate updates per event
+    calls = [0]
+    original = xy_mod._groups
+
+    def counting(tau, u, bond):
+        calls[0] += 1
+        return original(tau, u, bond)
+
+    monkeypatch.setattr(xy_mod, "_groups", counting)
+    region = build_box(2, 2)
+    g = box_graph(region)
+    window = auto_window(region, -8.0, 0.0, "xy", beta, boundary=boundary)
+    n_events = 0
+    for seed in range(3):
+        seed += 100 * int(10 * beta) + 10 * {BC_PLUS_ONE: 0, BC_PLUS_I: 1, None: 2}[boundary]
+        events = event_stream(region, window.t_start, window.t_end, seed)
+        n_events += len(events)
+        lo, hi = xy_extremes(g, beta, bc=boundary)
+        lo_ref, hi_ref = lo.copy(), hi.copy()
+        for _ in xy_sandwich_steps(hi, lo, events, window.k, window.eps):
+            pass
+        _separate_lane_steps(hi_ref, lo_ref, events, window.k, window.eps)
+        for lane, ref in ((hi, hi_ref), (lo, lo_ref)):
+            assert _triple_bits(lane) == _triple_bits(ref), seed
+    # 4 searches per event, less those the lower lane took from the upper;
+    # at beta 2 the free-boundary lanes need not agree off u's edges by t = 0
+    assert calls[0] <= 4 * n_events
+    assert calls[0] < 4 * n_events or (beta, boundary) == (2.0, None)
 
 
 def test_cdf_is_np_interp_bit_for_bit():
@@ -450,8 +554,9 @@ def test_almost_markov_update_insensitive_outside_support():
         t1, t2 = tau.copy(), pert.copy()
         t1.alpha[(0, 0)] = a1
         t2.alpha[(0, 0)] = a2
-        om1, et1 = xy_edge_update(t1, (0, 0), iota, _lane_groups(t1, (0, 0)))
-        om2, et2 = xy_edge_update(t2, (0, 0), iota, _lane_groups(t2, (0, 0)))
+        u = (0, 0)
+        om1, et1 = xy_edge_update(t1, u, _uniforms(t1, u, iota), _lane_groups(t1, u))
+        om2, et2 = xy_edge_update(t2, u, _uniforms(t2, u, iota), _lane_groups(t2, u))
         assert om1 == om2 and et1 == et2
 
 
@@ -507,7 +612,8 @@ def test_two_vertex_spin_law_matches_xy_model():
     for sweep in range(n + burn):
         for u in ((0,), (1,)):
             key += 1
-            tau = xy_full_update(tau, u, _iota(key), k=2, eps=0.1, groups=_lane_groups(tau, u))
+            tau = xy_full_update(tau, u, _iota(key), k=2, eps=0.1,
+                groups=_lane_groups(tau, u), uniforms=_uniforms(tau, u, _iota(key)))
         if sweep >= burn:
             om_coins = {
                 component_representative(c): rng.choice([-1, 1])
@@ -723,7 +829,17 @@ def test_open_prob_matches_set_based_enumeration():
     assert info.maxsize is not None and info.currsize <= info.maxsize
 
 
-def _edge_update_before(tau, u, iota, groups):
+def _edge_weight_p(beta, au, av, kind):
+    """The FK weight of an edge, as ``xy_edge_update`` formed it per
+    neighbour and kind before it hoisted beta cos(au) and beta sin(au)."""
+    if kind == "omega":
+        x = beta * math.cos(au) * math.cos(av)
+    else:
+        x = beta * math.sin(au) * math.sin(av)
+    return min(1.0, max(0.0, -math.expm1(-2.0 * x)))
+
+
+def _edge_update_before(tau, u, uniforms, groups):
     """``xy_edge_update`` as it was before the FK bracket rule: every
     incident edge runs the exact enumeration."""
     graph = tau.graph
@@ -740,12 +856,12 @@ def _edge_update_before(tau, u, iota, groups):
             for t in g:
                 block_of[t] = gi
         n_blocks = len(kind_groups)
-        p_all = [xy_mod._edge_weight_p(beta, au, alpha[v], kind) for v in nbrs]
+        p_all = [_edge_weight_p(beta, au, alpha[v], kind) for v in nbrs]
         blocks = tuple(block_of[v] for v in nbrs)
         u_linked = 0
         for i, e in enumerate(incident):
             prob = _conditional_open_prob(p_all[i:], blocks[i:], u_linked, n_blocks)
-            uval = iota.edge_uniform(2 * i + slot0)
+            uval = uniforms[2 * i + slot0]
             bit = 1 if uval < prob else 0
             out[e] = bit
             if bit:
@@ -789,27 +905,18 @@ def test_open_prob_lies_in_fk_bracket():
     assert decided > 10000 and deferred > 10000
 
 
-class _EdgeUniforms:
-    """Randomness whose edge uniforms are given by slot."""
-
-    def __init__(self, values):
-        self.values = values
-
-    def edge_uniform(self, slot):
-        return self.values[slot]
-
-
 @pytest.mark.parametrize("radius", [2, 3])
 @pytest.mark.parametrize("boundary", [BC_PLUS_ONE, BC_PLUS_I])
 @pytest.mark.parametrize("beta", [0.3, 1.0, 2.0])
 def test_edge_update_matches_full_enumeration(monkeypatch, beta, boundary, radius):
     # every lane update of a sandwich run gives the enumeration's edges
+    # from the uniforms the loop hashed once for the event
     checked = []
     original = xy_mod.xy_edge_update
 
-    def compared(tau, u, iota, groups):
-        got = original(tau, u, iota, groups)
-        assert got == _edge_update_before(tau, u, iota, groups)
+    def compared(tau, u, uniforms, groups):
+        got = original(tau, u, uniforms, groups)
+        assert got == _edge_update_before(tau, u, uniforms, groups)
         checked.append(u)
         return got
 
@@ -828,15 +935,14 @@ def test_edge_update_matches_full_enumeration(monkeypatch, beta, boundary, radiu
             tau.alpha[n] = xy_mod.boundary_angle(boundary)
         u = rng.choice(g.free)
         groups = _lane_groups(tau, u)
-        values = {}
-        for i, v in enumerate(g.neighbors_of(u)):
-            for slot0, kind in ((0, "omega"), (1, "eta")):
-                p = xy_mod._edge_weight_p(beta, tau.alpha[u], tau.alpha[v], kind)
+        uniforms = []
+        for v in g.neighbors_of(u):
+            for kind in ("omega", "eta"):  # slots 2 i and 2 i + 1
+                p = _edge_weight_p(beta, tau.alpha[u], tau.alpha[v], kind)
                 end = rng.choice([p / (2.0 - p), p])
                 uval = end + rng.choice([-2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0]) * _DELTA
-                values[2 * i + slot0] = min(1.0, max(2.0**-53, uval))
-        iota = _EdgeUniforms(values)
-        assert xy_edge_update(tau, u, iota, groups) == _edge_update_before(tau, u, iota, groups)
+                uniforms.append(min(1.0, max(2.0**-53, uval)))
+        assert xy_edge_update(tau, u, uniforms, groups) == _edge_update_before(tau, u, uniforms, groups)
 
 
 def _grid_bound(law):
@@ -969,3 +1075,83 @@ def test_inverse_is_the_numpy_scalar_formula_bit_for_bit():
             us += [f, math.nextafter(f, -1.0), math.nextafter(f, 2.0)]
         for u in us:
             assert law.inverse(u).hex() == _inverse_before(F, u).hex(), u
+
+
+def _unmatched_cases(rng, beta, laws, per_law):
+    """(law, a, b, eps, u_refine) cases of the unmatched refinement: laws
+    as ``xy_angle_law`` builds them at this beta on d = 1, 2 or 3, the
+    calibrated depth, cells from random primary uniforms."""
+    for _ in range(laws):
+        d = rng.choice([1, 2, 3])
+        angles = [rng.choice([0.0, HALF_PI, rng.uniform(0.0, HALF_PI)]) for _ in range(2 * d)]
+
+        def sums(f):
+            groups = [[] for _ in range(rng.randint(1, 2 * d))]
+            for a in angles:
+                rng.choice(groups).append(a)
+            return tuple(math.fsum(f(a) for a in g) for g in groups)
+
+        law = AngleLawHandle(cos_sums=sums(math.cos), sin_sums=sums(math.sin), beta=beta)
+        eps = rng.choice([0.05, 0.1, 0.2])
+        k = calibrate_matching_xy(beta, d, eps)
+        for _ in range(per_law):
+            c = xy_mod._cell_search(law.inverse(rng.random()), k)
+            yield (law, *xy_mod._angle_cell_bounds(c, k), eps, rng.random())
+
+
+def _certified_or_loop(law, a, b, eps, ur):
+    """(certified value or None, the bisection's value) on one case."""
+    fa = law.cdf(a)
+    span = law.cdf(b) - fa
+    residual = xy_mod._cell_residual(law, a, b, fa, span, eps)
+    want = snap(monotone_inverse(residual, ur, a, b), VALUE_GRID)
+    return xy_mod._certified_root(law, residual, ur, a, b, span, eps), want
+
+
+@pytest.mark.parametrize("beta", [1.0, 4.0])
+def test_certified_unmatched_inverse_is_the_bisection(beta):
+    # on 10,000 random cases per beta the certificate returns the loop's
+    # bits or declines; it declines 0.16% of them (31 at beta 1, 32 at
+    # beta 4 on 20,000 cases with another seed when it was written)
+    rng = random.Random(f"unmatched:{beta}")
+    cases = declined = 0
+    for law, a, b, eps, ur in _unmatched_cases(rng, beta, laws=200, per_law=50):
+        if law.cdf(b) - law.cdf(a) <= 0.0:
+            continue  # no mass: the draw is uniform on the cell, no bisection
+        got, want = _certified_or_loop(law, a, b, eps, ur)
+        assert got is None or got == want, (law, a, b, eps, ur)
+        cases += 1
+        declined += got is None
+    assert cases >= 9900
+    assert declined < 0.01 * cases
+
+
+@pytest.mark.parametrize("beta", [1.0, 4.0])
+def test_certified_unmatched_inverse_near_snap_edges_and_grid_nodes(beta):
+    # roots placed within 1e-13 of a rounding edge of the VALUE_GRID snap
+    # or of an F_grid node, and the neighbouring floats of that u_refine:
+    # the certificate must decline wherever it cannot prove the loop's bits
+    rng = random.Random(f"edges:{beta}")
+    xs = xy_mod._XS_LIST
+    certified = declined = 0
+    for law, a, b, eps, ur in _unmatched_cases(rng, beta, laws=100, per_law=10):
+        fa = law.cdf(a)
+        span = law.cdf(b) - fa
+        if span <= 0.0:
+            continue
+        y = a + ur * (b - a)
+        if rng.random() < 0.5:
+            y = (math.floor(y * VALUE_GRID) + 0.5) / VALUE_GRID
+        else:
+            y = min(xs, key=lambda x: abs(x - y))
+        y += rng.choice([-1.0, 1.0]) * rng.choice([0.0, 1e-16, 1e-15, 1e-14, 1e-13])
+        if not a < y < b:
+            continue
+        u0 = xy_mod._cell_residual(law, a, b, fa, span, eps)(y)
+        for u in (math.nextafter(u0, 0.0), u0, math.nextafter(u0, 2.0)):
+            if 0.0 < u <= 1.0:
+                got, want = _certified_or_loop(law, a, b, eps, u)
+                assert got is None or got == want, (law, a, b, eps, u)
+                certified += got is not None
+                declined += got is None
+    assert certified > 1000 and declined > 300
