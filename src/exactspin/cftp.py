@@ -16,13 +16,13 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from . import swm as swm_mod
 from . import xy as xy_mod
 from .engine import MonotonicityError, SwmLattice, swm_sandwich
 from .lattice import BoxRegion, Vertex, build_box
-from .randomness import MAX_DIGITS, UpdateEvent, check_window, digit_cell, event_stream
+from .randomness import MAX_DIGITS, UpdateEvent, check_window, event_stream
 from .swm import SwmField
 from .xy import XyGraph, XyTriple, _lane_groups, box_graph, xy_extremes, xy_full_update
 
@@ -101,26 +101,18 @@ def auto_window(
 
 @dataclass
 class SandwichPair:
-    """Coupled extremal trajectories over one window."""
+    """Coupled extremal trajectories over one window.
 
-    window: WindowSpec
-    top: object  # SwmField | XyTriple
+    The lanes, ``SwmField`` or ``XyTriple``, compare themselves at a
+    vertex (``equal_at``) and report their value there (``value_at``).
+    """
+
+    top: object
     bot: object
     event_count: int = 0
 
     def coalesced(self, v: Vertex) -> bool:
-        if self.window.model == MODEL_SWM:
-            return self.top.values[v] == self.bot.values[v]
-        return _xy_equal_at(self.top, self.bot, v)
-
-
-def _xy_equal_at(a: XyTriple, b: XyTriple, v) -> bool:
-    """Equal angle at v and equal omega/eta on every edge at v."""
-    return a.alpha[v] == b.alpha[v] and _xy_bonds_equal_at(a, b, v)
-
-
-def _xy_bonds_equal_at(a: XyTriple, b: XyTriple, v) -> bool:
-    return all(a.omega[e] == b.omega[e] and a.eta[e] == b.eta[e] for e in a.graph.incident[v])
+        return self.top.equal_at(self.bot, v)
 
 
 def xy_sandwich_steps(
@@ -249,8 +241,12 @@ def sandwich_run(
     window: WindowSpec,
     seed: int,
     targets: Optional[Sequence[Vertex]] = None,
+    reseed: Optional[Mapping[Vertex, int]] = None,
 ) -> SandwichPair:
     """Evolve both extremal starts under the identical event stream.
+
+    ``reseed`` swaps the master seed of the listed vertices, as in
+    :func:`exactspin.randomness.event_stream`.
 
     The sandwich order is asserted after every update (hard failure on
     violation).  ``targets`` names the only sites the caller reads; one
@@ -278,21 +274,22 @@ def sandwich_run(
             seed,
             bc_top=bc_top,
             bc_bot=bc_bot,
+            reseed=reseed,
             targets=targets,
         )
         sites = lat.vertices if targets is None else list(targets)
         top, bot = _swm_pair_fields(lat, res.top, res.bot, sites)
-        return SandwichPair(window, top, bot, event_count=res.event_count)
+        return SandwichPair(top, bot, event_count=res.event_count)
 
     graph = _region_graph(window.region)
     lo, hi = xy_extremes(graph, window.beta, bc=window.boundary)
-    events = event_stream(window.region, window.t_start, window.t_end, seed)
+    events = event_stream(window.region, window.t_start, window.t_end, seed, reseed)
     if targets is not None:
         events = [ev for ev, nxt in zip(events, events[1:])
                   if ev.vertex != nxt.vertex] + events[-1:]
     for _ in xy_sandwich_steps(hi, lo, events, window.k, window.eps):
         pass
-    return SandwichPair(window, hi, lo, event_count=len(events))
+    return SandwichPair(hi, lo, event_count=len(events))
 
 
 @dataclass
@@ -308,16 +305,12 @@ class CftpResult:
     seed: int
 
     def to_json(self) -> str:
-        def _enc(x):
-            if isinstance(x, dict):
-                return {str(k): _enc(v) for k, v in x.items()}
-            return x
-
         return json.dumps(
             {
                 "model": self.model,
                 "target": [list(v) for v in self.target],
-                "values": None if self.values is None else _enc(self.values),
+                "values": None if self.values is None
+                else {str(v): x for v, x in self.values.items()},
                 "window_t": self.window_t,
                 "timed_out": self.timed_out,
                 "certificate": {str(k): v for k, v in self.certificate.items()},
@@ -367,17 +360,7 @@ def cftp_sample(
             else:
                 done = False
         if done:
-            if model == MODEL_SWM:
-                vals = {v: pair.top.values[v] for v in target}
-            else:
-                vals = {}
-                for v in target:
-                    g = pair.top.graph
-                    vals[v] = {
-                        "alpha": pair.top.alpha[v],
-                        "omega": {str(e): pair.top.omega[e] for e in g.incident[v]},
-                        "eta": {str(e): pair.top.eta[e] for e in g.incident[v]},
-                    }
+            vals = {v: pair.top.value_at(v) for v in target}
             return CftpResult(
                 model=model, target=target, values=vals, window_t=t,
                 timed_out=False, certificate=cert, seed=seed,
@@ -434,9 +417,6 @@ def coupling_probability(
     hits = 0
     for r in range(replicas):
         seed = (seed0 * 1000003 + r) & ((1 << 63) - 1)
-        if t == s:
-            hits += 1  # zero-length dynamics: extremal starts differ
-            continue
         window = auto_window(
             region, -float(t), 0.0 if throughout else -float(s), model, beta, eps=eps, k=k,
         )
@@ -444,7 +424,7 @@ def coupling_probability(
             coupled = _coupled_throughout(window, seed, -float(s), origin)
         else:
             pair = sandwich_run(window, seed, targets=[origin])
-            coupled = _pair_equal_at(pair, origin, truncation)
+            coupled = pair.top.equal_at(pair.bot, origin, truncation)
         hits += not coupled
     p = hits / replicas
     se = math.sqrt(max(p * (1 - p), 1e-12) / replicas)
@@ -463,15 +443,4 @@ def _coupled_throughout(window: WindowSpec, seed: int, slab_lo: float, v: Vertex
     lo, hi = xy_extremes(_region_graph(window.region), window.beta)
     events = event_stream(window.region, window.t_start, window.t_end, seed)
     return _xy_monitor(hi, lo, events, slab_lo, window.k, window.eps,
-                       lambda a, b: _xy_equal_at(a, b, v))
-
-
-def _pair_equal_at(pair: SandwichPair, v: Vertex, truncation: Optional[int]) -> bool:
-    if truncation is None:
-        return pair.coalesced(v)
-    top, bot = pair.top, pair.bot
-    if pair.window.model == MODEL_SWM:
-        return digit_cell(top.values[v], truncation) == digit_cell(bot.values[v], truncation)
-    return (digit_cell(top.alpha[v] / xy_mod.HALF_PI, truncation)
-            == digit_cell(bot.alpha[v] / xy_mod.HALF_PI, truncation)
-            and _xy_bonds_equal_at(top, bot, v))
+                       lambda a, b: a.equal_at(b, v))

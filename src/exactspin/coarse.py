@@ -24,10 +24,11 @@ from .cftp import (
     MODEL_SWM,
     MODEL_XY,
     _region_graph,
-    _region_lattice,
     _xy_monitor,
+    auto_window,
     check_params,
     required_digits,
+    sandwich_run,
 )
 from .engine import SwmLattice, swm_sandwich
 from .lattice import (
@@ -198,6 +199,8 @@ class ThetaField:
     ):
         if good and params.model != MODEL_XY:
             raise ValueError("good cells exist for the XY model only")
+        if window.d != params.d:
+            raise ValueError(f"window dimension {window.d} differs from params.d = {params.d}")
         self.window = window
         self.params = params
         self.seed = seed
@@ -335,15 +338,16 @@ def decoupling_check(
 ) -> DecouplingReport:
     """Re-randomize events and compare the exactly-sampled value at v.
 
-    ``outside`` mode re-randomizes every event whose spatial location
-    lies outside the local set of v: the value at v must be
+    Both models run through :func:`exactspin.cftp.sandwich_run`, and
+    the value compared is the lane's ``value_at(v)``: the spin for the
+    square well model; for XY the angle and the omega/eta bonds of every
+    edge at v.  ``outside`` mode re-randomizes every event whose spatial
+    location lies outside the local set of v: the value at v must be
     bit-identical in every trial.  ``inside`` mode re-randomizes the
     events inside the local set instead, as a sanity check that the
     value genuinely depends on them (the report then counts how often
     it stayed identical).
     """
-    if params.model != MODEL_SWM:
-        raise NotImplementedError("decoupling harness runs the square well model")
     if mode not in ("outside", "inside"):
         raise ValueError("mode must be 'outside' or 'inside'")
     if window is None:
@@ -370,43 +374,22 @@ def decoupling_check(
         reach = max(
             max(abs(a - c) for a, c in zip(w, center)) for w in ls.vertices
         )
-        radius = reach + 2 * params.L + 1
-        lat = _region_lattice(build_box(params.d, radius))
         j_min = min((j for (j, _) in ls.shield), default=0)
         T = params.L * (1 - j_min) + params.n_L
-
-        anchor = tuple(a - c for a, c in zip(v, center))
+        run = auto_window(build_box(params.d, reach + 2 * params.L + 1, center), -float(T),
+                          0.0, params.model, params.beta, eps=params.eps, k=params.k)
 
         def value_at(reseed):
-            res = swm_sandwich(
-                lat,
-                params.beta,
-                params.digits,
-                params.eps,
-                t_start=-float(T),
-                t_end=0.0,
-                seed=seed_i,
-                reseed=reseed,
-                offset=center,
-                targets=[anchor],
-            )
-            idx = lat.index[anchor]
-            if res.top[idx] != res.bot[idx]:
-                raise RuntimeError(
-                    "anchor failed to coalesce inside its shielded window"
-                )
-            return float(res.top[idx])
+            pair = sandwich_run(run, seed_i, targets=[v], reseed=reseed)
+            if not pair.coalesced(v):
+                raise RuntimeError("anchor failed to coalesce inside its shielded window")
+            return pair.top.value_at(v)
 
         base = value_at(None)
-        reseed = {}
-        for w0 in lat.vertices:
-            w = tuple(a + c for a, c in zip(w0, center))
-            inside = w in ls.vertices
-            if (mode == "outside" and not inside) or (mode == "inside" and inside):
-                reseed[w] = _fresh_master(seed_i, w)
+        reseed = {w: _fresh_master(seed_i, w) for w in run.region.vertices()
+                  if (w in ls.vertices) == (mode == "inside")}
         resampled_total += len(reseed)
-        redone = value_at(reseed)
-        identical += redone == base
+        identical += value_at(reseed) == base
     return DecouplingReport(
         trials=done,
         identical=identical,

@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Optional
 
 import numpy as np
 
 from .lattice import Vertex
-from .randomness import MAX_DIGITS
+from .randomness import MAX_DIGITS, digit_cell
 
 
 @dataclass
@@ -32,6 +32,15 @@ class SwmField:
         for v, x in self.values.items():
             if not -1.0 <= x <= 1.0:
                 raise ValueError(f"spin at {v} outside [-1, 1]")
+
+    def equal_at(self, other: "SwmField", v: Vertex, k: Optional[int] = None) -> bool:
+        """Equal spin at v; with ``k``, the same depth-k digit cell."""
+        a, b = self.values[v], other.values[v]
+        return a == b if k is None else digit_cell(a, k) == digit_cell(b, k)
+
+    def value_at(self, v: Vertex) -> float:
+        """The spin at v."""
+        return self.values[v]
 
 
 def calibrate_matching(beta: float, d: int, eps: float) -> int:

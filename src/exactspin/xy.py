@@ -177,6 +177,21 @@ class XyTriple:
             self.graph, dict(self.alpha), dict(self.omega), dict(self.eta), self.beta
         )
 
+    def equal_at(self, other: "XyTriple", v, k: Optional[int] = None) -> bool:
+        """Equal angle at v (with ``k``, the same depth-k digit cell of
+        angle / (pi/2)) and equal omega and eta on every edge at v."""
+        a, b = self.alpha[v], other.alpha[v]
+        if k is not None:
+            a, b = digit_cell(a / HALF_PI, k), digit_cell(b / HALF_PI, k)
+        return a == b and all(self.omega[e] == other.omega[e] and self.eta[e] == other.eta[e]
+                              for e in self.graph.incident[v])
+
+    def value_at(self, v) -> Dict[str, object]:
+        """The angle at v and the bonds of its edges, keyed by ``str(e)``."""
+        edges = self.graph.incident[v]
+        return {"alpha": self.alpha[v], "omega": {str(e): self.omega[e] for e in edges},
+                "eta": {str(e): self.eta[e] for e in edges}}
+
 
 def xy_extremes(graph: XyGraph, beta: float, bc: Optional[str] = None) -> Tuple[XyTriple, XyTriple]:
     """(minimal, maximal) configurations; frozen angles follow bc if given.

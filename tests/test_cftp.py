@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -16,7 +17,7 @@ from exactspin.cftp import (
     sandwich_run,
     xy_sandwich_steps,
 )
-from exactspin.engine import MonotonicityError
+from exactspin.engine import MonotonicityError, SwmLattice, swm_sandwich
 from exactspin.lattice import build_box
 from exactspin.randomness import event_stream
 from exactspin.xy import BC_PLUS_ONE, XyTriple, box_graph, xy_extremes
@@ -237,10 +238,13 @@ def test_cftp_xy_small_box():
 
 
 def test_coupling_probability_zero_length():
-    est = coupling_probability(
-        n=2, t=1.0, s=1.0, d=2, model=MODEL_SWM, beta=0.5, replicas=10, seed0=1
-    )
-    assert est.probability == 1.0
+    # t == s leaves the extremal starts apart at time -s in every mode:
+    # an empty window, or a slab that opens with the run
+    for model, t in itertools.product((MODEL_SWM, MODEL_XY), (0.0, 2.0, 3.0)):
+        for mode in ({}, {"throughout": True}, {"truncation": 2}):
+            est = coupling_probability(n=2, t=t, s=t, d=2, model=model, beta=0.5,
+                                       replicas=5, seed0=1, **mode)
+            assert est.probability == 1.0, (model, t, mode)
 
 
 def test_coupling_probability_monotone_in_time():
@@ -342,10 +346,10 @@ def test_xy_coupling_at_a_vertex_reads_every_incident_bond():
         for bond in (pair.bot.omega, pair.bot.eta):
             bond[e] ^= 1
             for truncation in (None, 1, 3):
-                assert not cftp._pair_equal_at(pair, origin, truncation)
+                assert not pair.top.equal_at(pair.bot, origin, truncation)
             bond[e] ^= 1
     for truncation in (None, 1, 3):
-        assert cftp._pair_equal_at(pair, origin, truncation)
+        assert pair.top.equal_at(pair.bot, origin, truncation)
 
 
 @pytest.mark.parametrize("n, t, s, beta", [(3, 6.0, 3.0, 0.3), (3, 4.0, 1.0, 1.0)])
@@ -473,6 +477,68 @@ def test_coupling_probability_on_the_cone_matches_full_lanes(monkeypatch):
     assert all(0.0 < e.probability < 1.0 for e in cone)
 
 
+@pytest.mark.parametrize("d, center, anchor", [(1, (6,), (4,)), (2, (4, -2), (5, -1))])
+def test_targeted_run_on_a_centred_box_is_the_offset_origin_run(d, center, anchor):
+    # a centred box lists and keys its sites as the origin lattice does
+    # under offset = center, so a targeted, reseeded run on it gives the
+    # anchor the bits of the engine's offset run
+    reseed = {anchor: 99, center: (1 << 64) - 3, tuple(c + 1 for c in center): 7}
+    window = auto_window(build_box(d, 3, center), -6.0, 0.0, MODEL_SWM, beta=0.3)
+    lat = SwmLattice(build_box(d, 3).vertices())
+    i = lat.index[tuple(a - c for a, c in zip(anchor, center))]
+    values = set()
+    for rs in (None, reseed):
+        pair = sandwich_run(window, seed=11, targets=[anchor], reseed=rs)
+        res = swm_sandwich(lat, window.beta, window.k, window.eps, -6.0, 0.0, 11,
+                           reseed=rs, offset=center)
+        assert pair.top.value_at(anchor).hex() == float(res.top[i]).hex()
+        assert pair.bot.value_at(anchor).hex() == float(res.bot[i]).hex()
+        values.add(pair.top.value_at(anchor))
+    assert len(values) == 2  # the anchor's own line was reseeded
+
+
+def test_xy_reseeded_run_steps_the_reseeded_stream():
+    region = build_box(2, 2)
+    reseed = {(0, 0): 5, (1, -1): (1 << 64) - 9}
+    window = auto_window(region, -5.0, 0.0, MODEL_XY, beta=0.5)
+    pair = sandwich_run(window, seed=3, reseed=reseed)
+    lo, hi = xy_extremes(box_graph(region), 0.5)
+    for _ in xy_sandwich_steps(hi, lo, event_stream(region, -5.0, 0.0, 3, reseed),
+                               window.k, window.eps):
+        pass
+    for lane, ref in ((pair.top, hi), (pair.bot, lo)):
+        assert {v: a.hex() for v, a in lane.alpha.items()} == {
+            v: a.hex() for v, a in ref.alpha.items()}
+        assert (lane.omega, lane.eta) == (ref.omega, ref.eta)
+    assert pair.top.alpha != sandwich_run(window, seed=3).top.alpha
+
+
+@pytest.mark.parametrize("model, boundary", [(MODEL_SWM, 0.0), (MODEL_XY, None)])
+def test_lanes_equal_at_a_vertex_are_equal_to_every_depth(model, boundary):
+    region = build_box(2, 2)
+    window = auto_window(region, -4.0, 0.0, model, beta=0.3, boundary=boundary)
+    equal = 0
+    for seed in range(6):
+        pair = sandwich_run(window, seed)
+        for v in region.vertices():
+            if pair.top.equal_at(pair.bot, v):
+                equal += 1
+                assert pair.coalesced(v)
+                assert all(pair.top.equal_at(pair.bot, v, k) for k in range(16))
+                assert pair.top.value_at(v) == pair.bot.value_at(v)
+    assert equal
+
+
+@pytest.mark.parametrize("model, boundary", [(MODEL_SWM, 1.0), (MODEL_XY, BC_PLUS_ONE)])
+def test_cftp_values_are_the_lanes_value_at(model, boundary):
+    region, target = build_box(2, 2), [(0, 0), (1, 0)]
+    for seed in range(3):
+        res = cftp_sample(region, target, model, beta=0.5, seed=seed, boundary=boundary)
+        window = auto_window(region, -res.window_t, 0.0, model, 0.5, boundary=boundary)
+        pair = sandwich_run(window, seed, targets=target)
+        assert res.values == {v: pair.top.value_at(v) for v in target}
+
+
 def test_coalesced_outside_the_targets_raises_key_error():
     window = auto_window(build_box(2, 2), -4.0, 0.0, MODEL_SWM, beta=0.5)
     pair = sandwich_run(window, seed=3, targets=[(1, 0)])
@@ -490,6 +556,12 @@ def test_empty_target_and_bad_coupling_inputs_raise_value_error():
         with pytest.raises(ValueError):
             coupling_probability(n=2, t=t, s=0.0, d=1, model=MODEL_SWM, beta=0.5,
                                  replicas=replicas, seed0=1)
+    # t == s runs no dynamics but checks the parameters all the same
+    for bad in (dict(model="ising", beta=0.5), dict(model=MODEL_SWM, beta=-3.0),
+                dict(model=MODEL_XY, beta=0.5, eps=7.0), dict(model=MODEL_SWM, beta=0.5, k=-4),
+                dict(model="ising", beta=-3.0, truncation=99, eps=7.0, k=-4)):
+        with pytest.raises(ValueError):
+            coupling_probability(n=2, t=1.0, s=1.0, d=1, replicas=5, seed0=0, **bad)
 
 
 def test_targets_outside_the_region_raise_value_error():

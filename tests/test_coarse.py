@@ -6,6 +6,7 @@ import pytest
 
 from exactspin.coarse import (
     CoarseParams,
+    DecouplingReport,
     DegenerateSampleError,
     ThetaField,
     _box_crossing,
@@ -118,6 +119,17 @@ def test_theta_field_good_reads_cell_is_good():
         ThetaField(window, swm, 0, good=True)
 
 
+@pytest.mark.parametrize("model", ["swm", "xy"])
+def test_theta_field_rejects_a_window_of_another_dimension(model):
+    # a d = 1 window over d = 2 cells would shift every zone by a
+    # broadcast offset (SWM) or fail late (XY); the field refuses it
+    for d, window_d in ((2, 1), (1, 2)):
+        params = CoarseParams(model=model, beta=0.1, d=d, L=1, delta=0.5)
+        window = CellWindow(j_min=-1, j_max=0, x_radius=1, d=window_d)
+        with pytest.raises(ValueError, match="dimension"):
+            ThetaField(window, params, 0)
+
+
 def test_theta_field_to_json():
     params = CoarseParams(model="swm", beta=0.0, d=1, L=2, delta=0.5)
     window = CellWindow(j_min=-2, j_max=0, x_radius=1, d=1)
@@ -157,6 +169,29 @@ def test_decoupling_check_beta_zero(mode, expected):
     assert report.identical == expected
     # a draw whose local set reached the window edge was retried
     assert report.window_errors >= 1
+
+
+@pytest.mark.parametrize("mode, expected", [
+    ("outside", DecouplingReport(20, 20, 3, 160)),
+    ("inside", DecouplingReport(20, 0, 3, 620)),
+])
+def test_decoupling_check_swm_reports_are_pinned(mode, expected):
+    # the engine's offset run on the origin lattice gives these reports
+    # too: a centred box lists and keys its sites the same way
+    params = CoarseParams(model="swm", beta=0.1, d=1, L=2, delta=0.25)
+    assert decoupling_check((0,), params, seed=7, trials=20, mode=mode) == expected
+
+
+@pytest.mark.parametrize("mode, expected", [("outside", 5), ("inside", 0)])
+def test_decoupling_check_xy_beta_zero(mode, expected):
+    # at beta = 0 every XY update closes its site's edges and draws a
+    # flat angle from its own uniforms, so the anchor's value (angle and
+    # incident bonds) is fixed by its own last update: re-randomizing
+    # outside the local set never moves it, inside always does
+    params = CoarseParams(model="xy", beta=0.0, d=1, L=2, delta=0.5)
+    report = decoupling_check((0,), params, seed=7, trials=5, mode=mode)
+    assert report.trials == 5
+    assert report.identical == expected
 
 
 def test_sample_cluster_and_localset_sizes_beta_zero():

@@ -31,7 +31,7 @@ import hashlib
 
 import pytest
 
-from exactspin.cftp import MODEL_XY, _xy_equal_at, auto_window, sandwich_run, xy_sandwich_steps
+from exactspin.cftp import MODEL_XY, auto_window, sandwich_run, xy_sandwich_steps
 from exactspin.coarse import CoarseParams, cell_is_good, cell_is_mixed
 from exactspin.engine import SwmLattice, swm_sandwich
 from exactspin.lattice import build_box
@@ -137,7 +137,7 @@ def _xy_pairs_digest(beta, boundary) -> str:
         for ev in xy_sandwich_steps(hi, lo, event_stream(window.region, -6.0, 0.0, seed),
                                     window.k, window.eps):
             if ev.vertex == (0, 0):
-                records += [float(ev.time), int(_xy_equal_at(hi, lo, (0, 0)))]
+                records += [float(ev.time), int(hi.equal_at(lo, (0, 0)))]
         for tau, lane in ((pair.top, hi), (pair.bot, lo)):
             assert {n: a.hex() for n, a in tau.alpha.items()} == {
                 n: a.hex() for n, a in lane.alpha.items()}

@@ -36,7 +36,6 @@ _UNPASSED = {
     "coarse.CoarseParams.eps": "coarse sweeps over eps are still to come (ROADMAP items 2, 5)",
     "coarse.CoarseParams.k": "coarse sweeps over k are still to come (ROADMAP items 2, 5)",
     "coarse.ThetaField.good": "theta fields of XY good cells are still to come (ROADMAP item 3)",
-    "randomness.event_stream.reseed": "reseeded XY streams are still to come (ROADMAP item 3)",
 }
 
 # public methods and properties nothing reads, with the reason each stays
