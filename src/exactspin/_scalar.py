@@ -121,7 +121,7 @@ def swm_draw(
        monotone on the cell if the density at the end farther from m,
        times 1/span, exceeds (1 - eps)/width.  One ``exp`` checks this
        with a relative margin of 1e-9, far above its rounding error.
-       A calibrated depth (:func:`exactspin.swm.calibrate_matching`)
+       A calibrated depth (:func:`exactspin.cftp.required_digits`)
        guarantees it; an uncalibrated one may fail it.
     2. Three Newton steps from a + u_refine * width give x.
     3. If libm ``erfc`` is within 8 ulps (glibc 2.36's came within 3.1

@@ -18,30 +18,51 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from . import swm as swm_mod
 from . import xy as xy_mod
 from .engine import MonotonicityError, SwmLattice, swm_sandwich
 from .lattice import BoxRegion, Vertex, build_box
-from .randomness import MAX_DIGITS, UpdateEvent, check_window, event_stream
-from .swm import SwmField
+from .randomness import MAX_DIGITS, UpdateEvent, check_window, digit_cell, event_stream
 from .xy import XyGraph, XyTriple, _lane_groups, box_graph, xy_extremes, xy_full_update
 
 MODEL_SWM = "swm"
 MODEL_XY = "xy"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # d = 2.0 must not hit the entry of d = 2
 def required_digits(model: str, beta: float, d: int, eps: float) -> int:
-    """The calibrated digit depth; parameters are checked first, so no
-    calibration runs on a beta or eps that :func:`check_params` rejects."""
+    """The least digit depth k <= MAX_DIGITS at which the log density of
+    every cell law drops by at most -log(1 - eps) across its digit cell,
+    so that it dominates (1 - eps) times the uniform law on the cell: the
+    certificate of the matched refinement.  The model decides the drop:
+
+    - SWM: the law exp(-beta D (x - m)^2) on [-1, 1], D = 2d, m in
+      [-1, 1], drops by beta D (hi^2 - lo^2) across a cell, hi and lo its
+      largest and smallest distance to m.  The drop is largest at the cell
+      farthest from an extremal mean, where hi = 2 and lo is the distance
+      to its inner edge, computed as ``numpy.linspace(-1, 1, 2 * 10**k + 1)``
+      does: fl(i * step) - 1 (``tests/oracle.swm_depth_scan`` checks all).
+    - XY: a group term log 2cosh(beta s c(x)), c = cos or sin, has slope
+      at most beta s, s the group's size; the omega and the eta groups
+      each partition the 2d neighbours, so the slope is at most 4 d beta
+      across a cell (pi/2) 10^-k wide.
+    """
     check_params(model, beta, d, eps, None)
-    if model == MODEL_SWM:
-        return swm_mod.calibrate_matching(beta, d, eps)
-    return xy_mod.calibrate_matching_xy(beta, d, eps)
+    budget = -math.log1p(-eps)
+    for k in range(MAX_DIGITS + 1):
+        if model == MODEL_SWM:
+            n = 2 * 10**k
+            step = 2.0 / n  # the end cells' inner edges: (n - 1) step - 1, step - 1
+            lo = min(((n - 1) * step - 1.0) + 1.0, 1.0 - (step - 1.0))
+            drop = beta * (2 * d) * (4.0 - lo * lo)
+        else:
+            drop = 4.0 * d * beta * (xy_mod.HALF_PI * 10.0**-k)
+        if drop <= budget:
+            return k
+    raise RuntimeError("no digit depth up to 15 certifies the domination")
 
 
 def check_params(model: str, beta: float, d: int, eps: float, k: Optional[int]) -> None:
-    """Reject a model, beta, eps or digit depth k the dynamics cannot run.
+    """Reject a model, beta, dimension d, eps or digit depth k the dynamics cannot run.
 
     ``k = None`` leaves the depth to calibration; a given k must lie in
     [0, MAX_DIGITS] and reach the calibrated floor, below which the
@@ -49,6 +70,8 @@ def check_params(model: str, beta: float, d: int, eps: float, k: Optional[int]) 
     """
     if model not in (MODEL_SWM, MODEL_XY):
         raise ValueError(f"unknown model {model!r}")
+    if not (isinstance(d, int) and d >= 1):
+        raise ValueError(f"lattice dimension d must be an int >= 1, got {d!r}")
     if not (math.isfinite(beta) and beta >= 0.0):
         raise ValueError(f"beta must be finite and >= 0, got {beta!r}")
     if not (0.0 < eps < 1.0):
@@ -208,6 +231,27 @@ def _xy_monitor(hi, lo, events, slab_lo, k, eps, holds) -> bool:
         if not holds(hi, lo):
             return False
     return True
+
+
+@dataclass
+class SwmField:
+    """The spins of one lane at the end of a run, each in [-1, 1]."""
+
+    values: Dict[Vertex, float]
+
+    def __post_init__(self):
+        for v, x in self.values.items():
+            if not -1.0 <= x <= 1.0:
+                raise ValueError(f"spin at {v} outside [-1, 1]")
+
+    def equal_at(self, other: "SwmField", v: Vertex, k: Optional[int] = None) -> bool:
+        """Equal spin at v; with ``k``, the same depth-k digit cell."""
+        a, b = self.values[v], other.values[v]
+        return a == b if k is None else digit_cell(a, k) == digit_cell(b, k)
+
+    def value_at(self, v: Vertex) -> float:
+        """The spin at v."""
+        return self.values[v]
 
 
 def _swm_pair_fields(lat: SwmLattice, top, bot, sites) -> Tuple[SwmField, SwmField]:

@@ -346,7 +346,8 @@ def decoupling_check(
     bit-identical in every trial.  ``inside`` mode re-randomizes the
     events inside the local set instead, as a sanity check that the
     value genuinely depends on them (the report then counts how often
-    it stayed identical).
+    it stayed identical).  There a rerun that does not coalesce
+    at v counts as not identical; elsewhere that raises RuntimeError.
     """
     if mode not in ("outside", "inside"):
         raise ValueError("mode must be 'outside' or 'inside'")
@@ -381,9 +382,11 @@ def decoupling_check(
 
         def value_at(reseed):
             pair = sandwich_run(run, seed_i, targets=[v], reseed=reseed)
-            if not pair.coalesced(v):
-                raise RuntimeError("anchor failed to coalesce inside its shielded window")
-            return pair.top.value_at(v)
+            if pair.coalesced(v):
+                return pair.top.value_at(v)
+            if mode == "inside" and reseed is not None:
+                return None  # new events inside the local set; not the base value
+            raise RuntimeError("anchor failed to coalesce inside its shielded window")
 
         base = value_at(None)
         reseed = {w: _fresh_master(seed_i, w) for w in run.region.vertices()

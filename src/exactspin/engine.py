@@ -1,5 +1,11 @@
 """Trajectory engine for square well dynamics.
 
+Square well spins live in [-1, 1] with energy the sum of squared
+nearest-neighbour differences; the single-site law is a normal with mean
+the neighbour average and variance 1/(2*beta*D), D the lattice degree,
+conditioned to [-1, 1].  Its one update, :func:`exactspin._scalar.swm_draw`,
+is certified by the depth :func:`exactspin.cftp.required_digits`.
+
 Events are numpy arrays from start to sort: the one generator,
 :func:`exactspin.randomness.block_events`, hashes the whole window at
 once, so the engine sees exactly the events of the object-level

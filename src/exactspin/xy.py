@@ -54,7 +54,7 @@ import numpy as np
 
 from ._scalar import VALUE_GRID, snap
 from .lattice import BoxRegion, neighbors
-from .randomness import MAX_DIGITS, UpdateRandomness, digit_cell, monotone_inverse
+from .randomness import UpdateRandomness, digit_cell, monotone_inverse
 
 HALF_PI = math.pi / 2.0
 
@@ -424,8 +424,9 @@ def _angle_cell_bounds(c: int, k: int) -> Tuple[float, float]:
 
 def _cell_search(x: float, k: int) -> int:
     """The depth-k digit cell [a, b) that holds x, end cells clamping."""
+    c = digit_cell(x / HALF_PI, k)  # raises on a k outside [0, MAX_DIGITS]
     top = 10**k - 1
-    c = max(0, min(top, digit_cell(x / HALF_PI, k)))
+    c = max(0, min(top, c))
     a, b = _angle_cell_bounds(c, k)
     while x < a and c > 0:
         c -= 1
@@ -446,8 +447,6 @@ def xy_angle_update(
     randomness; on the matching branch the value depends only on
     (cell, u_refine), so ``matched_cell`` may supply the cell.
     """
-    if not (0 <= k <= MAX_DIGITS):
-        raise ValueError(f"digit depth k must be in [0, {MAX_DIGITS}]")
     law = xy_angle_law(tau, u, groups)
     matched = iota.b_match(eps) == 0
     c = law.matched_cell(iota.u_primary, k) if matched else None
@@ -667,25 +666,3 @@ def xy_full_update(
     tau.omega.update(om)
     tau.eta.update(et)
     return tau
-
-
-def calibrate_matching_xy(beta: float, d: int, eps: float) -> int:
-    """Smallest digit depth for the angle-law domination precondition.
-
-    Returns the least k <= MAX_DIGITS with 4*d*beta*w <= -log(1 - eps)
-    for the digit-cell width w = (pi/2) 10^-k.  That bounds the
-    variation of the log density of any conditional angle law across a
-    cell: each group term log 2cosh(beta*s*c(x)), with c = cos or sin,
-    has slope at most beta*s, where s <= the group's size; the omega
-    groups and the eta groups each partition the 2d neighbours, so
-    |(log f)'| <= 4*d*beta.
-    """
-    if not (0.0 < eps < 1.0):
-        raise ValueError("eps must lie in (0, 1)")
-    if beta == 0.0:
-        return 0
-    budget = -math.log1p(-eps)
-    for k in range(0, MAX_DIGITS + 1):
-        if 4.0 * d * beta * (HALF_PI * 10.0**-k) <= budget:
-            return k
-    raise RuntimeError("no digit depth up to 15 certifies the domination")

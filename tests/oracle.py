@@ -6,6 +6,9 @@ that compare against it:
 
 - ``quadrature_cdf``: ``test_cftp_single_vertex_matches_quadrature``;
 - ``rejection_sample``: ``test_cftp_3x3_mean_matches_rejection_oracle``;
+- ``swm_depth_scan``, the scan over every digit cell that the closed
+  form of ``cftp.required_digits`` replaced:
+  ``test_swm_depth_matches_the_cell_scan``;
 - ``enumerate_xy``: ``test_edge_update_two_vertex_marginal`` and
   ``test_edge_update_star_joint_matches_enumeration``;
 - ``xy_angle_density_oracle``: ``test_angle_law_matches_enumeration_oracle``,
@@ -24,9 +27,9 @@ that compare against it:
   map into per-site sums for ``swm_chunk_run``; the ``mapping_boundary``
   digest walks its order), and ``test_swm_lattice_counts_out_of_box_neighbours``.
 
-The first two are in ``test_cftp.py``, the XY ones in ``test_xy.py``;
-``test_oracle.py`` and ``test_lattice.py`` check the references
-themselves.
+The first two are in ``test_cftp.py``, the depth scan's test in
+``test_swm.py``, the XY ones in ``test_xy.py``; ``test_oracle.py`` and
+``test_lattice.py`` check the references themselves.
 
 The last section holds coupling instruments.  They run the package's
 own dynamics and only watch it: ``recorded_origin`` records the lanes'
@@ -124,6 +127,30 @@ def quadrature_cdf(instance: TinyInstance, v: Vertex, xs: np.ndarray) -> np.ndar
     cum = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]))])
     cum /= cum[-1]
     return np.interp(xs, grid, cum)
+
+
+def swm_depth_scan(beta: float, d: int, eps: float) -> int:
+    """The least digit depth k <= 15 at which no depth-k cell of [-1, 1]
+    lets the SWM log density exp(-beta D (x - m)^2), D = 2d, drop by more
+    than -log(1 - eps), for either extremal mean m = -1 or m = +1; every
+    one of the 2 * 10**k cells is checked, so keep k small."""
+    D = 2 * d
+    budget = -math.log1p(-eps)
+    for k in range(0, 16):
+        edges = np.linspace(-1.0, 1.0, 2 * 10**k + 1)
+        a, b = edges[:-1], edges[1:]
+        ok = True
+        for m in (-1.0, 1.0):
+            da, db = np.abs(a - m), np.abs(b - m)
+            hi = np.maximum(da, db)
+            lo = np.where((a - m) * (b - m) <= 0.0, 0.0, np.minimum(da, db))
+            drop = beta * D * (hi * hi - lo * lo)
+            if float(drop.max()) > budget:
+                ok = False
+                break
+        if ok:
+            return k
+    raise RuntimeError("no digit depth up to 15 certifies the domination")
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,14 @@ def test_sample_xy_and_timeout(capsys):
     assert rec["timed_out"] is True and rec["values"] is None
 
 
+def test_sample_at_large_beta(capsys):
+    # beta = 1e6 calibrates to digit depth 8
+    assert main(["sample", "--model", "swm", "--d", "1", "--radius", "1", "--beta", "1e6",
+                 "--boundary", "0.5", "--seed", "0"]) == 0
+    rec = json.loads(capsys.readouterr().out)
+    assert rec["timed_out"] is False and -1.0 <= rec["values"]["(0,)"] <= 1.0
+
+
 def test_sample_rejects_unknown_model():
     with pytest.raises(SystemExit):
         main(["sample", "--model", "ising", "--beta", "0.5"])

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from exactspin.cftp import required_digits
 from exactspin.coarse import (
     CoarseParams,
     DecouplingReport,
@@ -65,6 +66,19 @@ def test_coarse_params_reject_eps_outside_unit_interval():
             with pytest.raises(ValueError, match="eps"):
                 CoarseParams(model=model, beta=0.5, d=1, L=1, delta=0.5, eps=eps, k=2)
         CoarseParams(model=model, beta=0.5, d=1, L=1, delta=0.5, eps=0.5, k=2)
+
+
+def test_lattice_dimension_must_be_a_positive_int():
+    # the depth's drop is proportional to d, so d <= 0 would certify
+    # k = 0 for any beta; a non-integer d names no lattice
+    for model in ("swm", "xy"):
+        for d in (0, -1, 1.5, 2.0):
+            with pytest.raises(ValueError, match="dimension"):
+                required_digits(model, 0.5, d, 0.1)
+            with pytest.raises(ValueError, match="dimension"):
+                CoarseParams(model=model, beta=0.1, d=d, L=1, delta=0.5)
+        assert required_digits(model, 0.5, 1, 0.1) >= 1
+        CoarseParams(model=model, beta=0.1, d=1, L=1, delta=0.5)
 
 
 def _bonds(graph, open_pairs):
@@ -180,6 +194,18 @@ def test_decoupling_check_swm_reports_are_pinned(mode, expected):
     # too: a centred box lists and keys its sites the same way
     params = CoarseParams(model="swm", beta=0.1, d=1, L=2, delta=0.25)
     assert decoupling_check((0,), params, seed=7, trials=20, mode=mode) == expected
+
+
+@pytest.mark.parametrize("params, anchor, seed, trials, expected", [
+    (CoarseParams("swm", 0.05, 1, 2, 0.5), (0,), 7, 20, DecouplingReport(20, 0, 13, 318)),
+    (CoarseParams("swm", 0.1, 1, 2, 0.25), (3,), 5, 10, DecouplingReport(10, 0, 2, 310)),
+])
+def test_decoupling_check_inside_counts_an_uncoalesced_rerun(params, anchor, seed, trials,
+                                                             expected):
+    # re-randomizing the local set can leave the anchor uncoalesced in
+    # the window: that trial's value is not the base value, not an abort
+    report = decoupling_check(anchor, params, seed=seed, trials=trials, mode="inside")
+    assert report == expected
 
 
 @pytest.mark.parametrize("mode, expected", [("outside", 5), ("inside", 0)])

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from fractions import Fraction
 from pathlib import Path
 from statistics import NormalDist
 
@@ -9,10 +10,11 @@ import pytest
 
 from exactspin import _scalar
 from exactspin._scalar import MEAN_GRID, VALUE_GRID, snap, swm_draw
+from exactspin.cftp import required_digits
 from exactspin.randomness import mix64
-from exactspin.swm import calibrate_matching
 
 from keyed import keyed_randomness
+from oracle import swm_depth_scan
 
 norm_ppf = NormalDist().inv_cdf
 
@@ -178,7 +180,7 @@ def test_swm_draw_jump_matches_the_loop_at_calibrated_depths(monkeypatch):
         for d in (1, 2, 3):
             sig = 0.0 if beta == 0.0 else 1.0 / math.sqrt(4.0 * beta * d)
             for eps in (0.05, 0.1, 0.3):
-                k0 = calibrate_matching(beta, d, eps)
+                k0 = required_digits("swm", beta, d, eps)
                 for k in (k0, k0 + 1):
                     for _ in range(1200):
                         m = rng.choice([rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0),
@@ -229,7 +231,7 @@ def test_swm_draw_falls_back_for_each_reason(monkeypatch):
     m = snap(0.3, MEAN_GRID)
     beta, d, eps = 1.0, 2, 0.1
     sig = 1.0 / math.sqrt(4.0 * beta * d)
-    k = calibrate_matching(beta, d, eps) + 1
+    k = required_digits("swm", beta, d, eps) + 1
     c = 2.0 * 10**(k - 1)  # the cell at x = 0.2
     a, s, g, up = _cell_law(m, sig, k, eps, c)
 
@@ -386,18 +388,63 @@ def test_matched_flag_uncorrelated_with_cell():
 
 
 def test_calibrate_matching_zero_beta():
-    assert calibrate_matching(0.0, 2, 0.5) == 0
+    assert required_digits("swm", 0.0, 2, 0.5) == 0
 
 
 def test_calibrate_matching_frozen_value():
     # regression constant found by the routine itself
-    assert calibrate_matching(1.0, 2, 0.5) == 2
+    assert required_digits("swm", 1.0, 2, 0.5) == 2
 
 
 def test_calibrate_matching_monotone_in_eps():
     for beta, d in [(0.5, 2), (1.0, 2), (2.0, 3)]:
-        ks = [calibrate_matching(beta, d, eps) for eps in (0.05, 0.1, 0.3, 0.6)]
+        ks = [required_digits("swm", beta, d, eps) for eps in (0.05, 0.1, 0.3, 0.6)]
         assert ks == sorted(ks, reverse=True)
+
+
+def test_swm_depth_matches_the_cell_scan():
+    # the closed form against the scan of every cell, on a grid of depths
+    # 0..4 and at the 13 floats around each threshold beta where the
+    # scan's depth passes k = 0..4: the threshold is found by walking in
+    # ulps from the one the scan's last cell gives
+    for beta in (0.0, 0.001, 0.01, 0.05, 0.1, 0.2, 0.32, 0.5, 1.0, 2.0):
+        for d in (1, 2, 3):
+            for eps in (0.01, 0.05, 0.1, 0.3, 0.9):
+                assert required_digits("swm", beta, d, eps) == swm_depth_scan(beta, d, eps)
+    for d in (1, 2, 3):
+        for eps in (0.05, 0.1, 0.3):
+            for k in range(5):
+                last = float(np.linspace(-1.0, 1.0, 2 * 10**k + 1)[-2]) + 1.0
+                beta = -math.log1p(-eps) / (2 * d * (4.0 - last * last))
+                while swm_depth_scan(beta, d, eps) <= k:
+                    beta = math.nextafter(beta, math.inf)
+                while swm_depth_scan(math.nextafter(beta, 0.0), d, eps) > k:
+                    beta = math.nextafter(beta, 0.0)
+                probes = [beta]
+                for _ in range(6):
+                    probes = [math.nextafter(probes[0], 0.0), *probes,
+                              math.nextafter(probes[-1], math.inf)]
+                for beta in probes:
+                    assert required_digits("swm", beta, d, eps) == swm_depth_scan(beta, d, eps)
+
+
+def test_swm_depth_at_large_beta():
+    # depths far past what a scan of every cell can hold in memory: the
+    # exact worst drop beta D w (4 - w), w = 10^-k, fits the budget at
+    # the returned depth and not one digit shallower; past 15 digits the
+    # rule gives up
+    d, eps = 2, 0.1
+    budget = Fraction(-math.log1p(-eps))
+
+    def drop(beta, k):
+        w = Fraction(1, 10**k)
+        return Fraction(beta) * 2 * d * w * (4 - w)
+
+    for beta, k in ((1e5, 8), (1e8, 11), (1e12, 15)):
+        assert required_digits("swm", beta, d, eps) == k
+        assert drop(beta, k) <= budget < drop(beta, k - 1)
+    with pytest.raises(RuntimeError):
+        required_digits("swm", 1e16, d, eps)
 
 
 def test_calibrated_depth_certifies_domination():
@@ -407,7 +454,7 @@ def test_calibrated_depth_certifies_domination():
     # F_cell is the normal CDF renormalised to the cell, since the
     # truncation to [-1, 1] cancels inside it.
     beta, d, eps = 1.0, 2, 0.2
-    k = calibrate_matching(beta, d, eps)
+    k = required_digits("swm", beta, d, eps)
     w = 10.0**-k
     sig = 1.0 / math.sqrt(2.0 * beta * 2 * d)
     grid = 64

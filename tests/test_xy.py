@@ -6,10 +6,12 @@ import pytest
 
 from exactspin import cftp as cftp_mod
 from exactspin import xy as xy_mod
-from exactspin.cftp import auto_window, sandwich_run, xy_sandwich_steps
+from exactspin.cftp import auto_window, required_digits, sandwich_run, xy_sandwich_steps
 from exactspin.lattice import build_box
 from exactspin._scalar import VALUE_GRID, snap
-from exactspin.randomness import UpdateEvent, event_stream, mix64, monotone_inverse
+from exactspin.randomness import (
+    UpdateEvent, UpdateRandomness, event_stream, mix64, monotone_inverse,
+)
 from exactspin.xy import (
     _XS,
     _conditional_open_prob,
@@ -21,7 +23,6 @@ from exactspin.xy import (
     XyGraph,
     XyTriple,
     box_graph,
-    calibrate_matching_xy,
     xy_angle_law,
     xy_angle_update,
     xy_edge_update,
@@ -224,6 +225,18 @@ def test_angle_update_beta_zero():
         cell = int(val / (HALF_PI / 10))
         expect = (cell + iota.u_refine) * (HALF_PI / 10)
         assert abs(val - expect) < 1e-8
+
+
+def test_angle_update_rejects_a_digit_depth_outside_0_15():
+    # the matched and the unmatched draw both reach digit_cell's check
+    g = box_graph(build_box(2, 1))
+    tau = _random_triple(g, beta=1.0, rng=random.Random(3))
+    groups = _lane_groups(tau, (0, 0))
+    for u_match in (0.9, 0.01):
+        iota = UpdateRandomness(0.4, 0.5, u_match)
+        for k in (-1, 16):
+            with pytest.raises(ValueError, match="digit depth"):
+                xy_angle_update(tau, (0, 0), iota, k=k, eps=0.1, groups=groups)
 
 
 def test_angle_update_monotone():
@@ -647,13 +660,13 @@ def test_holley_dominance_of_angle_laws():
 
 
 def test_calibrate_matching_xy():
-    assert calibrate_matching_xy(0.0, 2, 0.3) == 0
-    ks = [calibrate_matching_xy(1.0, 2, eps) for eps in (0.05, 0.15, 0.5)]
+    assert required_digits("xy", 0.0, 2, 0.3) == 0
+    ks = [required_digits("xy", 1.0, 2, eps) for eps in (0.05, 0.15, 0.5)]
     assert ks == sorted(ks, reverse=True)
-    k = calibrate_matching_xy(1.0, 2, 0.15)
+    k = required_digits("xy", 1.0, 2, 0.15)
     assert 4 * 2 * 1.0 * HALF_PI * 10.0**-k <= -math.log1p(-0.15)
     with pytest.raises(RuntimeError):
-        calibrate_matching_xy(1e15, 2, 0.1)
+        required_digits("xy", 1e15, 2, 0.1)
 
 
 # Digit depths recorded from the earlier calibration, which confirmed the
@@ -701,7 +714,7 @@ def test_calibrate_matching_xy_matches_recorded_depths():
     cases = list(_depth_cases())
     assert len(cases) == 234 + 13
     for beta, d, eps, k in cases:
-        assert calibrate_matching_xy(beta, d, eps) == k, (beta, d, eps)
+        assert required_digits("xy", beta, d, eps) == k, (beta, d, eps)
 
 
 def test_calibrated_depth_bounds_log_density_within_every_cell():
@@ -711,7 +724,7 @@ def test_calibrated_depth_bounds_log_density_within_every_cell():
     # -log(1 - eps); checked on 33 points per cell, both ends included
     t = np.linspace(0.0, 1.0, 33)
     for beta, d, eps, _ in _depth_cases():
-        k = calibrate_matching_xy(beta, d, eps)
+        k = required_digits("xy", beta, d, eps)
         if k > 3:
             continue
         xs = ((np.arange(10**k)[:, None] + t) / 10.0**k) * HALF_PI
@@ -1093,7 +1106,7 @@ def _unmatched_cases(rng, beta, laws, per_law):
 
         law = AngleLawHandle(cos_sums=sums(math.cos), sin_sums=sums(math.sin), beta=beta)
         eps = rng.choice([0.05, 0.1, 0.2])
-        k = calibrate_matching_xy(beta, d, eps)
+        k = required_digits("xy", beta, d, eps)
         for _ in range(per_law):
             c = xy_mod._cell_search(law.inverse(rng.random()), k)
             yield (law, *xy_mod._angle_cell_bounds(c, k), eps, rng.random())
