@@ -20,7 +20,7 @@ from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, 
 
 from . import xy as xy_mod
 from .engine import MonotonicityError, SwmLattice, swm_sandwich
-from .lattice import BoxRegion, Vertex, build_box
+from .lattice import BoxRegion, Vertex, _check_int, build_box
 from .randomness import MAX_DIGITS, UpdateEvent, check_window, digit_cell, event_stream
 from .xy import XyGraph, XyTriple, _lane_groups, box_graph, xy_extremes, xy_full_update
 
@@ -70,8 +70,7 @@ def check_params(model: str, beta: float, d: int, eps: float, k: Optional[int]) 
     """
     if model not in (MODEL_SWM, MODEL_XY):
         raise ValueError(f"unknown model {model!r}")
-    if not (isinstance(d, int) and d >= 1):
-        raise ValueError(f"lattice dimension d must be an int >= 1, got {d!r}")
+    _check_int("lattice dimension d", d, 1)
     if not (math.isfinite(beta) and beta >= 0.0):
         raise ValueError(f"beta must be finite and >= 0, got {beta!r}")
     if not (0.0 < eps < 1.0):
@@ -88,6 +87,18 @@ def check_params(model: str, beta: float, d: int, eps: float, k: Optional[int]) 
         )
 
 
+def check_boundary(model: str, boundary) -> None:
+    """Reject a frozen boundary the model cannot hold: None always passes, SWM
+    takes an int or float (not a bool) in [-1, 1], XY a ``boundary_angle`` label."""
+    if boundary is None:
+        return
+    if model == MODEL_XY:
+        xy_mod.boundary_angle(boundary)
+    elif (isinstance(boundary, bool) or not isinstance(boundary, (int, float))
+          or not -1.0 <= boundary <= 1.0):
+        raise ValueError(f"an SWM boundary is a spin value in [-1, 1], got {boundary!r}")
+
+
 @dataclass(frozen=True)
 class WindowSpec:
     """A space-time dynamics window with its model parameters."""
@@ -99,11 +110,12 @@ class WindowSpec:
     beta: float
     k: int
     eps: float
-    boundary: Optional[object] = None  # swm: zeta value; xy: bc string
+    boundary: Optional[object] = None  # swm: spin value; xy: label; see check_boundary
 
     def __post_init__(self):
         check_window(self.t_start, self.t_end)
         check_params(self.model, self.beta, self.region.d, self.eps, self.k)
+        check_boundary(self.model, self.boundary)
 
 
 def auto_window(
@@ -132,7 +144,7 @@ class SandwichPair:
 
     top: object
     bot: object
-    event_count: int = 0
+    event_count: int
 
     def coalesced(self, v: Vertex) -> bool:
         return self.top.equal_at(self.bot, v)
@@ -306,8 +318,6 @@ def sandwich_run(
         _check_targets(window.region, targets)
     if window.model == MODEL_SWM:
         lat = _region_lattice(window.region)
-        bc_top = window.boundary if window.boundary is not None else 1.0
-        bc_bot = window.boundary if window.boundary is not None else -1.0
         res = swm_sandwich(
             lat,
             window.beta,
@@ -316,8 +326,7 @@ def sandwich_run(
             window.t_start,
             window.t_end,
             seed,
-            bc_top=bc_top,
-            bc_bot=bc_bot,
+            boundary=window.boundary,
             reseed=reseed,
             targets=targets,
         )

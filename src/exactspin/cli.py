@@ -14,7 +14,7 @@ import argparse
 import math
 from typing import Optional, Sequence
 
-from .cftp import MODEL_SWM, MODEL_XY, cftp_sample
+from .cftp import MODEL_SWM, MODEL_XY, cftp_sample, check_boundary
 from .lattice import build_box
 from .xy import BC_PLUS_I, BC_PLUS_ONE
 
@@ -45,20 +45,13 @@ def _finite_at_least(low: float):
 
 
 def _boundary(model: str, text: Optional[str]):
-    """The frozen boundary of ``--boundary``: a finite SWM spin value in
-    [-1, 1], or the XY label "+1" or "+i"; raises ValueError otherwise."""
-    if text is None:
-        return None
-    if model == MODEL_XY:
-        if text not in (BC_PLUS_ONE, BC_PLUS_I):
-            raise ValueError(f"XY takes {BC_PLUS_ONE} or {BC_PLUS_I}, got {text!r}")
-        return text
+    """The frozen boundary of ``--boundary``, a number for SWM and a label for
+    XY, if :func:`exactspin.cftp.check_boundary` admits it, else ValueError."""
     try:
-        value = float(text)
+        value = float(text) if model == MODEL_SWM and text is not None else text
     except ValueError:
         raise ValueError(f"not a number: {text!r}") from None
-    if not (math.isfinite(value) and -1.0 <= value <= 1.0):
-        raise ValueError(f"an SWM spin lies in [-1, 1], got {text!r}")
+    check_boundary(model, value)
     return value
 
 

@@ -36,6 +36,7 @@ from .lattice import (
     Cell,
     CellWindow,
     WindowTooSmallError,
+    _check_int,
     build_box,
     cluster_touches_boundary,
     star_boundary,
@@ -58,8 +59,7 @@ class CoarseParams:
     k: Optional[int] = None
 
     def __post_init__(self):
-        if self.L < 1:
-            raise ValueError("L must be >= 1")
+        _check_int("L", self.L, 1)
         if not (0.0 < self.delta < 1.0):
             raise ValueError("delta must lie in (0, 1)")
         check_params(self.model, self.beta, self.d, self.eps, self.k)
@@ -262,7 +262,6 @@ class LocalSet:
     vertices: FrozenSet[Tuple[int, ...]]
     cluster: FrozenSet[Cell]
     shield: FrozenSet[Cell]
-    params: CoarseParams
 
     @property
     def size(self) -> int:
@@ -279,7 +278,7 @@ class LocalSet:
         )
 
 
-def local_set(v: Tuple[int, ...], theta: ThetaField, params: CoarseParams) -> LocalSet:
+def local_set(v: Tuple[int, ...], theta: ThetaField) -> LocalSet:
     """The spatial local set of the vertex v under the theta field.
 
     The star 0-cluster of v's cell plus its shielding layer of mixed
@@ -289,6 +288,7 @@ def local_set(v: Tuple[int, ...], theta: ThetaField, params: CoarseParams) -> Lo
     Raises WindowTooSmallError when the 0-cluster reaches the window
     edge (the caller must enlarge the window).
     """
+    params = theta.params
     cell_v = params.cell_of_vertex(v)
     if theta.value(cell_v) == 1:
         cluster: Set[Cell] = set()
@@ -309,7 +309,6 @@ def local_set(v: Tuple[int, ...], theta: ThetaField, params: CoarseParams) -> Lo
         vertices=frozenset(verts),
         cluster=frozenset(cluster),
         shield=frozenset(shield),
-        params=params,
     )
 
 
@@ -334,7 +333,6 @@ def decoupling_check(
     seed: int,
     trials: int,
     mode: str = "outside",
-    window: Optional[CellWindow] = None,
 ) -> DecouplingReport:
     """Re-randomize events and compare the exactly-sampled value at v.
 
@@ -351,8 +349,7 @@ def decoupling_check(
     """
     if mode not in ("outside", "inside"):
         raise ValueError("mode must be 'outside' or 'inside'")
-    if window is None:
-        window = CellWindow(j_min=-3, j_max=0, x_radius=3, d=params.d)
+    window = CellWindow(j_min=-3, j_max=0, x_radius=3, d=params.d)
     identical = 0
     window_errors = 0
     resampled_total = 0
@@ -365,7 +362,7 @@ def decoupling_check(
         seed_i = mix64(seed ^ (trial * 0x9E37)) & ((1 << 62) - 1)
         theta = ThetaField(window, params, seed_i)
         try:
-            ls = local_set(v, theta, params)
+            ls = local_set(v, theta)
         except WindowTooSmallError:
             window_errors += 1
             continue
@@ -452,7 +449,6 @@ def sample_cluster_and_localset_sizes(
     params: CoarseParams,
     seed: int,
     samples: int,
-    window: Optional[CellWindow] = None,
 ) -> Tuple[List[int], List[int], int]:
     """(|C*| samples, |L_v| samples, window_errors) at spatial anchors.
 
@@ -460,8 +456,7 @@ def sample_cluster_and_localset_sizes(
     cell; the theta field is evaluated lazily so typical high-density
     draws cost a single cell evaluation.
     """
-    if window is None:
-        window = CellWindow(j_min=-3, j_max=0, x_radius=3, d=params.d)
+    window = CellWindow(j_min=-3, j_max=0, x_radius=3, d=params.d)
     v = (0,) * params.d
     cs: List[int] = []
     ls_sizes: List[int] = []
@@ -470,7 +465,7 @@ def sample_cluster_and_localset_sizes(
         seed_i = mix64(seed ^ (i * 0xC0FFEE + 1)) & ((1 << 62) - 1)
         theta = ThetaField(window, params, seed_i)
         try:
-            ls = local_set(v, theta, params)
+            ls = local_set(v, theta)
         except WindowTooSmallError:
             errors += 1
             continue

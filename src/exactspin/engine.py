@@ -11,8 +11,8 @@ Events are numpy arrays from start to sort: the one generator,
 once, so the engine sees exactly the events of the object-level
 :func:`exactspin.randomness.event_stream`, and a stable ``argsort``
 puts them in time order.  The lanes start at the extremal fields +1
-and -1 under a frozen boundary that is one constant per lane, so a
-site's boundary sum is its number of out-of-box neighbours times that
+and -1 under a frozen boundary: +1 and -1, or one ``boundary`` value
+in both.  A site's boundary sum is then its out-of-box degree times that
 constant.  The update loop is plain Python: the two lanes and the
 neighbour table are Python lists and each chunk's sorted events are
 converted to Python values a slice at a time.  Each update sums the
@@ -215,7 +215,7 @@ class SwmRunResult:
     top: np.ndarray
     bot: np.ndarray
     mixed_ok: Optional[bool]
-    event_count: int = 0  # events processed; an early exit ends the count
+    event_count: int  # events processed; an early exit ends the count
 
 
 def swm_sandwich(
@@ -226,8 +226,7 @@ def swm_sandwich(
     t_start: float,
     t_end: float,
     seed: int,
-    bc_top=1.0,
-    bc_bot=-1.0,
+    boundary: Optional[float] = None,
     reseed: Optional[Mapping[Vertex, int]] = None,
     core_mask: Optional[np.ndarray] = None,
     slab_lo: float = math.inf,
@@ -236,9 +235,9 @@ def swm_sandwich(
 ) -> SwmRunResult:
     """Coupled top/bottom trajectories over region x (t_start, t_end].
 
-    The lanes start at the extremal fields +1 and -1, and every
-    out-of-box neighbour of a site holds the lane's frozen boundary
-    constant, ``bc_top`` or ``bc_bot``.
+    The lanes start at the extremal fields +1 and -1.  Every out-of-box
+    neighbour of a site holds the lane's frozen boundary constant: +1 and
+    -1 when ``boundary`` is None, else ``boundary`` in both lanes.
 
     When ``core_mask``/``slab_lo`` are given the run doubles as a mixed
     cell evaluation: ``mixed_ok`` reports whether top and bottom agree
@@ -266,8 +265,9 @@ def swm_sandwich(
     deg = 2 * lattice.d
     top = [1.0] * S
     bot = [-1.0] * S
-    bsum_t = [n * float(bc_top) for n in lattice.n_out]
-    bsum_b = [n * float(bc_bot) for n in lattice.n_out]
+    zeta_t, zeta_b = (1.0, -1.0) if boundary is None else (float(boundary),) * 2
+    bsum_t = [n * zeta_t for n in lattice.n_out]
+    bsum_b = [n * zeta_b for n in lattice.n_out]
     sig = 0.0 if beta == 0.0 else 1.0 / math.sqrt(2.0 * beta * deg)
     law = (sig, float(10**k), 10.0**-k, eps, 1.0 / deg)
     vkeys = lattice.vkeys(seed, reseed, offset=offset)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import List, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 Vertex = Tuple[int, ...]
 Cell = Tuple[int, Tuple[int, ...]]  # (time index j <= 0, spatial index x)
@@ -18,6 +18,13 @@ Cell = Tuple[int, Tuple[int, ...]]  # (time index j <= 0, spatial index x)
 
 class WindowTooSmallError(RuntimeError):
     """A cluster reached the edge of its declared finite window."""
+
+
+def _check_int(name: str, value, low: Optional[int] = None) -> None:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value!r}")
 
 
 def neighbors(v: Vertex) -> List[Vertex]:
@@ -40,12 +47,12 @@ class BoxRegion:
     center: Vertex
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("dimension must be >= 1")
-        if self.n < 1:
-            raise ValueError("radius must be >= 1")
+        _check_int("dimension d", self.d, 1)
+        _check_int("radius n", self.n, 1)
         if len(self.center) != self.d:
             raise ValueError("center has wrong dimension")
+        for c in self.center:
+            _check_int("a center entry", c)
 
     @property
     def size(self) -> int:
@@ -81,10 +88,12 @@ class CellWindow:
     d: int
 
     def __post_init__(self):
+        _check_int("j_min", self.j_min)
+        _check_int("j_max", self.j_max)
+        _check_int("x_radius", self.x_radius, 0)
+        _check_int("d", self.d, 1)
         if self.j_min > self.j_max or self.j_max > 0:
             raise ValueError("need j_min <= j_max <= 0")
-        if self.x_radius < 0:
-            raise ValueError("x_radius must be >= 0")
 
     def contains(self, cell: Cell) -> bool:
         j, x = cell

@@ -12,6 +12,7 @@ from exactspin.cftp import (
     WindowSpec,
     auto_window,
     cftp_sample,
+    check_boundary,
     coupling_probability,
     required_digits,
     sandwich_run,
@@ -226,6 +227,30 @@ def test_cftp_timeout_is_explicit():
 def test_cftp_rejects_bad_t_max(t_max):
     with pytest.raises(ValueError, match="t_max"):
         cftp_sample(build_box(1, 2), [(0,)], MODEL_SWM, beta=0.5, seed=1, t_max=t_max)
+
+
+@pytest.mark.parametrize("model, boundary", [
+    (MODEL_SWM, 5.0), (MODEL_SWM, -3.0), (MODEL_SWM, True), (MODEL_SWM, "+1"),
+    (MODEL_SWM, math.nan), (MODEL_SWM, math.inf), (MODEL_XY, 1.0), (MODEL_XY, True),
+    (MODEL_XY, "1"),
+])
+def test_window_rejects_a_boundary_the_model_cannot_hold(model, boundary):
+    # the window checks it, so neither a sample nor a lane is ever made
+    with pytest.raises(ValueError, match="boundary"):
+        auto_window(build_box(1, 2), -1.0, 0.0, model, 0.5, boundary=boundary)
+    with pytest.raises(ValueError, match="boundary"):
+        cftp_sample(build_box(1, 2), [(0,)], model, 0.5, 1, boundary=boundary)
+
+
+def test_window_admits_every_boundary_the_model_holds():
+    for model, boundaries in ((MODEL_SWM, (-1, 0.25, 1.0)), (MODEL_XY, (BC_PLUS_ONE, "+i"))):
+        check_boundary(model, None)  # the extremal sandwich
+        for boundary in boundaries:
+            assert not cftp_sample(build_box(1, 2), [(0,)], model, 0.5, 1,
+                                   boundary=boundary).timed_out
+    # an int boundary is the float of the same value, bit for bit
+    assert (cftp_sample(build_box(1, 2), [(0,)], MODEL_SWM, 0.5, 1, boundary=-1).values
+            == cftp_sample(build_box(1, 2), [(0,)], MODEL_SWM, 0.5, 1, boundary=-1.0).values)
 
 
 def test_cftp_xy_small_box():

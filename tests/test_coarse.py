@@ -18,7 +18,7 @@ from exactspin.coarse import (
     sample_cluster_and_localset_sizes,
     tail_fit,
 )
-from exactspin.lattice import CellWindow, build_box
+from exactspin.lattice import BoxRegion, CellWindow, build_box
 from exactspin.xy import box_graph
 
 
@@ -81,6 +81,25 @@ def test_lattice_dimension_must_be_a_positive_int():
         CoarseParams(model=model, beta=0.1, d=1, L=1, delta=0.5)
 
 
+@pytest.mark.parametrize("make, args", [
+    pytest.param(make, args, id=f"{make.__name__}{args}") for make, args in [
+        (build_box, (1, 2.5)), (build_box, (1, True)), (build_box, (1, 2, (0.5,))),
+        (build_box, (2, 2, (0, False))), (BoxRegion, (2.0, 2, (0, 0))),
+        (BoxRegion, (True, 2, (0,))), (CellWindow, (-3, 0, 1.5, 1)),
+        (CellWindow, (-3.0, 0, 1, 1)), (CellWindow, (-3, 0.0, 1, 1)),
+        (CellWindow, (-3, 0, True, 1)), (CellWindow, (-3, 0, 1, 0)),
+        (CellWindow, (-3, 0, 1, 1.0)), (CoarseParams, ("swm", 0.1, 1, 2.0, 0.5)),
+        (CoarseParams, ("swm", 0.1, 1, 1.5, 0.5)), (CoarseParams, ("xy", 0.1, 1, True, 0.5)),
+        (CoarseParams, ("swm", 0.1, True, 2, 0.5)),
+    ]
+])
+def test_geometry_that_is_not_an_int_is_rejected_at_construction(make, args):
+    # a float or a bool would construct, then fail in vertices(), cells()
+    # or a cell run; d = 0 would give cells with an empty x
+    with pytest.raises(ValueError):
+        make(*args)
+
+
 def _bonds(graph, open_pairs):
     """0/1 bond map on graph.edges with exactly the given site pairs open."""
     wanted = {frozenset(p) for p in open_pairs}
@@ -110,7 +129,7 @@ def test_local_set_of_mixed_anchor_is_its_zone(seed):
     # anchor cell's own zone: the 15 sites of the radius-8 box
     params = CoarseParams(model="swm", beta=0.0, d=1, L=2, delta=0.5)
     theta = ThetaField(CellWindow(j_min=-3, j_max=0, x_radius=3, d=1), params, seed)
-    ls = local_set((0,), theta, params)
+    ls = local_set((0,), theta)
     assert theta.value((0, (0,))) == 1
     assert ls.cluster == frozenset()
     assert ls.shield == frozenset({(0, (0,))})
@@ -163,7 +182,7 @@ def test_local_set_to_json():
     # anchor's 15-site zone as local set
     params = CoarseParams(model="swm", beta=0.0, d=1, L=2, delta=0.5)
     theta = ThetaField(CellWindow(j_min=-3, j_max=0, x_radius=3, d=1), params, 0)
-    ls = local_set((0,), theta, params)
+    ls = local_set((0,), theta)
     rec = json.loads(ls.to_json())
     assert rec["anchor"] == [0]
     assert rec["size"] == len(rec["vertices"]) == len(ls.vertices) == 15

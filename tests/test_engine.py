@@ -336,18 +336,15 @@ def test_targeted_run_matches_full_lanes(d, radius, beta):
     k = required_digits(MODEL_SWM, beta, d, 0.1)
     corner = (radius - 1,) + (1 - radius,) * (d - 1)
     cases = [
-        dict(bc=None, targets=[(0,) * d]),
-        dict(bc=1.0, targets=[corner]),
-        dict(bc=0.5, targets=[(1,) * d, corner]),
-        dict(bc=-0.3, targets=[(0,) * d], reseed={(0,) * d: 77, (1,) + (0,) * (d - 1): 78}),
-        dict(bc=1.0, targets=[(1,) + (0,) * (d - 1)], offset=(5,) * d),
+        dict(boundary=None, targets=[(0,) * d]),
+        dict(boundary=1.0, targets=[corner]),
+        dict(boundary=0.5, targets=[(1,) * d, corner]),
+        dict(boundary=-0.3, targets=[(0,) * d], reseed={(0,) * d: 77, (1,) + (0,) * (d - 1): 78}),
+        dict(boundary=1.0, targets=[(1,) + (0,) * (d - 1)], offset=(5,) * d),
     ]
     shrunk = below_cone = 0
     for seed, case in enumerate(cases):
-        bc = case.pop("bc")
         targets = case.pop("targets")
-        if bc is not None:
-            case.update(bc_top=bc, bc_bot=bc)
         for t in (1.0, 4.0, 12.0):
             full, full_rec = recorded_origin(
                 lambda: swm_sandwich(lat, beta, k, 0.1, -t, 0.0, seed, **case), targets[0])

@@ -11,11 +11,13 @@ docstrings do not count.  References that only the tests need live in
 Likewise every optional parameter of a public function or method, and
 of a public class's constructor (its ``__init__``, or the dataclass
 fields with defaults), is passed, by keyword or by position, by some
-call in those files.  And every public method or property of a public
-class is read as an attribute (``x.name``, or a dotted ``Class.name``
-in a string, as the harness names its trace targets) in those files,
-outside its own body.  A bare name does not count, since a local
-variable can share it.
+call in those files.  Every optional parameter, the allowlisted ones
+included, is passed by some call in those files or ``tests/``: one
+that nothing passes is dead code.  And every public method or property
+of a public class is read as an attribute (``x.name``, or a dotted
+``Class.name`` in a string, as the harness names its trace targets) in
+those files, outside its own body.  A bare name does not count, since a
+local variable can share it.
 """
 
 import ast
@@ -25,6 +27,7 @@ from pathlib import Path
 _ROOT = Path(__file__).resolve().parents[1]
 _SRC = sorted((_ROOT / "src" / "exactspin").glob("*.py"))
 _CALLERS = _SRC + sorted((_ROOT / "perfbench").glob("*.py"))
+_TESTS = sorted((_ROOT / "tests").glob("*.py"))
 
 # paper measurements whose command-line callers are still to come
 _ALLOWED = {"coupling_probability", "decoupling_check",
@@ -156,9 +159,11 @@ def _passes(call, index, name):
                                   or any(isinstance(x, ast.Starred) for x in call.args))
 
 
-def test_every_optional_parameter_is_passed_outside_the_tests():
+def _unpassed(callers, exempt):
+    """The optional parameters, as qualified names, that no call in the
+    files ``callers`` passes, skipping the callables named in ``exempt``."""
     calls = {}
-    for path in _CALLERS:
+    for path in callers:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Call):
                 f = node.func
@@ -167,12 +172,22 @@ def test_every_optional_parameter_is_passed_outside_the_tests():
     unpassed = []
     for path in _SRC:
         for qual, called, params in _callables(path):
-            if called in _ALLOWED:
+            if called in exempt:
                 continue
             for index, name in params:
                 if not any(_passes(c, index, name) for c in calls.get(called, [])):
                     unpassed.append(f"{qual}.{name}")
-    assert sorted(unpassed) == sorted(_UNPASSED)
+    return sorted(unpassed)
+
+
+def test_every_optional_parameter_is_passed_outside_the_tests():
+    assert _unpassed(_CALLERS, _ALLOWED) == sorted(_UNPASSED)
+
+
+def test_every_optional_parameter_is_passed_somewhere():
+    # the allowlists excuse a parameter from a production caller, not
+    # from every caller: an option that not even a test passes is dead
+    assert _unpassed(_CALLERS + _TESTS, ()) == []
 
 
 def test_optional_parameters_are_found_by_position_and_keyword():
