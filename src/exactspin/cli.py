@@ -68,7 +68,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--boundary", default=None,
                     help=f"frozen boundary (SWM: a spin value in [-1, 1]; XY: "
-                         f"{BC_PLUS_ONE} or {BC_PLUS_I}); default: the extremal sandwich")
+                         f"{BC_PLUS_ONE} or {BC_PLUS_I}, the annealed +-1 or +-i boundary: "
+                         f"each contact's angle is fixed, its sign summed on its own); "
+                         f"default: the extremal sandwich")
     sp.add_argument("--t-max", type=_finite_at_least(1.0), default=None,
                     help="longest window tried, finite and >= 1 (default: cftp_sample's)")
     args = ap.parse_args(argv)

@@ -23,11 +23,10 @@ import numpy as np
 from .cftp import (
     MODEL_SWM,
     MODEL_XY,
+    WindowSpec,
     _region_graph,
     _xy_monitor,
-    auto_window,
     check_params,
-    required_digits,
     sandwich_run,
 )
 from .engine import SwmLattice, swm_sandwich
@@ -48,7 +47,8 @@ from .xy import XyGraph, xy_extremes
 
 @dataclass(frozen=True)
 class CoarseParams:
-    """Parameters of the coarse-grained cell process."""
+    """Parameters of the coarse-grained cell process; ``k`` holds the digit
+    depth :func:`exactspin.cftp.check_params` returns (calibrated for None)."""
 
     model: str
     beta: float
@@ -62,7 +62,8 @@ class CoarseParams:
         _check_int("L", self.L, 1)
         if not (0.0 < self.delta < 1.0):
             raise ValueError("delta must lie in (0, 1)")
-        check_params(self.model, self.beta, self.d, self.eps, self.k)
+        k = check_params(self.model, self.beta, self.d, self.eps, self.k)
+        object.__setattr__(self, "k", k)
 
     @property
     def n_L(self) -> int:
@@ -70,9 +71,7 @@ class CoarseParams:
 
     @property
     def digits(self) -> int:
-        if self.k is not None:
-            return self.k
-        return required_digits(self.model, self.beta, self.d, self.eps)
+        return self.k
 
     def slab(self, j: int) -> Tuple[float, float]:
         return (float(self.L * (j - 1)), float(self.L * j))
@@ -349,6 +348,7 @@ def decoupling_check(
     """
     if mode not in ("outside", "inside"):
         raise ValueError("mode must be 'outside' or 'inside'")
+    _check_int("trials", trials, 1)
     window = CellWindow(j_min=-3, j_max=0, x_radius=3, d=params.d)
     identical = 0
     window_errors = 0
@@ -374,8 +374,8 @@ def decoupling_check(
         )
         j_min = min((j for (j, _) in ls.shield), default=0)
         T = params.L * (1 - j_min) + params.n_L
-        run = auto_window(build_box(params.d, reach + 2 * params.L + 1, center), -float(T),
-                          0.0, params.model, params.beta, eps=params.eps, k=params.k)
+        run = WindowSpec(build_box(params.d, reach + 2 * params.L + 1, center), -float(T),
+                         0.0, params.model, params.beta, eps=params.eps, k=params.k)
 
         def value_at(reseed):
             pair = sandwich_run(run, seed_i, targets=[v], reseed=reseed)
@@ -456,6 +456,7 @@ def sample_cluster_and_localset_sizes(
     cell; the theta field is evaluated lazily so typical high-density
     draws cost a single cell evaluation.
     """
+    _check_int("samples", samples, 1)
     window = CellWindow(j_min=-3, j_max=0, x_radius=3, d=params.d)
     v = (0,) * params.d
     cs: List[int] = []

@@ -68,6 +68,7 @@ class BoxRegion:
 
 def build_box(d: int, n: int, center: Vertex | None = None) -> BoxRegion:
     """Box of radius n around center (default the origin)."""
+    _check_int("dimension d", d, 1)
     if center is None:
         center = (0,) * d
     return BoxRegion(d=d, n=n, center=tuple(center))

@@ -24,7 +24,7 @@ from typing import Callable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .lattice import BoxRegion, Vertex
+from .lattice import BoxRegion, Vertex, _check_int
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -260,14 +260,20 @@ def event_stream(
 MAX_DIGITS = 15
 
 
+def check_digits(k: int) -> None:
+    """Reject a digit depth k that is not an int in [0, MAX_DIGITS]."""
+    _check_int("digit depth k", k, 0)
+    if k > MAX_DIGITS:
+        raise ValueError(f"digit depth k must be in [0, {MAX_DIGITS}], got {k!r}")
+
+
 def digit_cell(x: float, k: int) -> int:
     """floor(10^k * x), exact for any binary float.
 
     Works on the integer pair returned by ``float.as_integer_ratio`` so
     boundary values never suffer float-flooring anomalies.
     """
-    if not (0 <= k <= MAX_DIGITS):
-        raise ValueError(f"digit depth k must be in [0, {MAX_DIGITS}]")
+    check_digits(k)
     if not math.isfinite(x):
         raise ValueError("x must be finite")
     p, q = float(x).as_integer_ratio()

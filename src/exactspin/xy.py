@@ -20,9 +20,11 @@ in the FK bracket [p/(2-p), p] of the edge's weight p, so a uniform
 outside the bracket widened by 1e-12 decides the edge without the 2^m
 enumeration, with the same bit.  An unmatched draw's refinement
 returns the bisection's bits from a certified closed-form root when it
-can (``_certified_root``).  Boundary vertices are frozen leaves (one
-edge each): no connectivity passes through them, and their angles are
-fixed by the boundary condition.
+can (``_certified_root``).  Boundary contacts are frozen leaves (one
+edge each): no connectivity passes through them.  A boundary label
+fixes their angles but not their signs, which the group terms sum
+contact by contact, so "+1" and "+i" sample the annealed +-1 and +-i
+boundaries, not fixed boundary spins (``boundary_angle``).
 
 ``xy_full_update`` changes its triple in place.  The log-cosh terms and
 the cosh-product CDF grids are memoised in small LRU caches of read-only
@@ -120,7 +122,9 @@ class XyGraph:
 
 
 def box_graph(region: BoxRegion) -> XyGraph:
-    """The box's graph with each boundary contact leaf-split."""
+    """The box's graph with each boundary contact leaf-split: the edge from
+    a free v to an outside neighbour w ends in its own frozen leaf
+    ("b", w, v), whose sign the angle law sums (``boundary_angle``)."""
     free = region.vertices()
     free_set = set(free)
     edges = []
@@ -137,11 +141,19 @@ def box_graph(region: BoxRegion) -> XyGraph:
     return XyGraph(free, edges, frozen)
 
 
-BC_PLUS_ONE = "+1"  # boundary spin +1: frozen angle 0
-BC_PLUS_I = "+i"  # boundary spin +i: frozen angle pi/2
+BC_PLUS_ONE = "+1"  # frozen angle 0: each contact an annealed spin +-1
+BC_PLUS_I = "+i"  # frozen angle pi/2: each contact an annealed spin +-i
 
 
 def boundary_angle(bc: str) -> float:
+    """The angle a boundary label freezes on every boundary leaf.
+
+    The leaf's sign is not frozen: its singleton group enters the
+    neighbour's angle law as 2cosh(beta c(x)), c(x) = cos x or sin x,
+    the sum over both signs.  So a vertex with m contacts under "+1"
+    weighs cosh(beta cos x)^m, not the cosh(m beta cos x) of a fixed
+    spin +1 on them all.
+    """
     if bc == BC_PLUS_ONE:
         return 0.0
     if bc == BC_PLUS_I:
@@ -194,7 +206,8 @@ class XyTriple:
 
 
 def xy_extremes(graph: XyGraph, beta: float, bc: Optional[str] = None) -> Tuple[XyTriple, XyTriple]:
-    """(minimal, maximal) configurations; frozen angles follow bc if given.
+    """(minimal, maximal) configurations; frozen angles follow bc if given,
+    the annealed boundary of ``boundary_angle``.
 
     Without a boundary condition the frozen nodes take their extremal
     angles per lane (the global extremal configurations).
@@ -424,7 +437,7 @@ def _angle_cell_bounds(c: int, k: int) -> Tuple[float, float]:
 
 def _cell_search(x: float, k: int) -> int:
     """The depth-k digit cell [a, b) that holds x, end cells clamping."""
-    c = digit_cell(x / HALF_PI, k)  # raises on a k outside [0, MAX_DIGITS]
+    c = digit_cell(x / HALF_PI, k)  # raises on a k that check_digits rejects
     top = 10**k - 1
     c = max(0, min(top, c))
     a, b = _angle_cell_bounds(c, k)

@@ -5,6 +5,7 @@ a sampler is evidence, not tautology.  Each reference and the tests
 that compare against it:
 
 - ``quadrature_cdf``: ``test_cftp_single_vertex_matches_quadrature``;
+- ``angle_law_cdf``: ``test_xy_cftp_angle_law_is_the_annealed_boundary``;
 - ``rejection_sample``: ``test_cftp_3x3_mean_matches_rejection_oracle``;
 - ``swm_depth_scan``, the scan over every digit cell that the closed
   form of ``cftp.required_digits`` replaced:
@@ -27,7 +28,7 @@ that compare against it:
   map into per-site sums for ``swm_chunk_run``; the ``mapping_boundary``
   digest walks its order), and ``test_swm_lattice_counts_out_of_box_neighbours``.
 
-The first two are in ``test_cftp.py``, the depth scan's test in
+The first three are in ``test_cftp.py``, the depth scan's test in
 ``test_swm.py``, the XY ones in ``test_xy.py``; ``test_oracle.py`` and
 ``test_lattice.py`` check the references themselves.
 
@@ -124,6 +125,18 @@ def quadrature_cdf(instance: TinyInstance, v: Vertex, xs: np.ndarray) -> np.ndar
     grid = np.linspace(-1.0, 1.0, 200001)
     H = instance.hamiltonian([grid])
     dens = np.exp(-instance.beta * H)
+    cum = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]))])
+    cum /= cum[-1]
+    return np.interp(xs, grid, cum)
+
+
+def angle_law_cdf(log_density: Callable[[np.ndarray], np.ndarray], xs: np.ndarray) -> np.ndarray:
+    """CDF at xs of the angle law on [0, pi/2] with the given log density
+    (up to a constant), by the trapezoid rule on 2^16 intervals: a grid
+    of its own, not the 2048-interval one of ``xy``."""
+    grid = np.linspace(0.0, math.pi / 2.0, 2**16 + 1)
+    logd = log_density(grid)
+    dens = np.exp(logd - logd.max())
     cum = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]))])
     cum /= cum[-1]
     return np.interp(xs, grid, cum)

@@ -21,9 +21,10 @@ from exactspin.cftp import (
 from exactspin.engine import MonotonicityError, SwmLattice, swm_sandwich
 from exactspin.lattice import build_box
 from exactspin.randomness import event_stream
-from exactspin.xy import BC_PLUS_ONE, XyTriple, box_graph, xy_extremes
+from exactspin.xy import BC_PLUS_I, BC_PLUS_ONE, XyTriple, box_graph, xy_extremes
 
 from oracle import (
+    angle_law_cdf,
     instance_from_box,
     origin_equal_throughout,
     quadrature_cdf,
@@ -59,6 +60,33 @@ def test_window_validates_calibration():
     WindowSpec(region, -1.0, -1.0, MODEL_SWM, beta=1.0, k=3, eps=0.1)
     WindowSpec(region, -1.0, 0.0, MODEL_SWM, beta=1.0, k=15, eps=0.1)
     auto_window(region, -4.0, 0.0, MODEL_SWM, beta=1.0, eps=0.1)
+
+
+def test_auto_window_is_the_window_constructor():
+    assert cftp.auto_window is WindowSpec
+
+
+@pytest.mark.parametrize("model, boundary", [(MODEL_SWM, None), (MODEL_XY, BC_PLUS_ONE)])
+def test_window_stores_the_calibrated_depth(model, boundary):
+    region = build_box(1, 2)
+    window = WindowSpec(region, -1.0, 0.0, model, 0.1, boundary=boundary)
+    assert window.k == required_digits(model, 0.1, 1, 0.1)
+    pair = sandwich_run(window, seed=1)
+    assert pair.event_count > 0
+    k = required_digits(model, 0.1, 1, 0.1) + 1
+    assert WindowSpec(region, -1.0, 0.0, model, 0.1, boundary=boundary, k=k).k == k
+
+
+@pytest.mark.parametrize("k", [2.5, True, 3.0])
+def test_depth_that_is_not_an_int_is_rejected(k):
+    # 10^2.5 cells per unit would sample outside the depth certificate
+    region = build_box(1, 2)
+    for model in (MODEL_SWM, MODEL_XY):
+        with pytest.raises(ValueError, match="digit depth"):
+            WindowSpec(region, -1.0, 0.0, model, 0.1, k=k)
+    for t_max in (0.5, 2.0**20):  # checked even when no round runs
+        with pytest.raises(ValueError, match="digit depth"):
+            cftp_sample(region, [(0,)], MODEL_SWM, 0.1, 1, boundary=0.0, k=k, t_max=t_max)
 
 
 def test_sandwich_zero_window_is_extremal():
@@ -158,6 +186,30 @@ def test_cftp_single_vertex_matches_quadrature():
     i = np.arange(1, n + 1)
     ks = max(np.max(np.abs(i / n - F)), np.max(np.abs((i - 1) / n - F)))
     assert ks < 0.02
+
+
+@pytest.mark.parametrize("label, seed0, c", [(BC_PLUS_ONE, 100000, np.cos),
+                                             (BC_PLUS_I, 200000, np.sin)])
+def test_xy_cftp_angle_law_is_the_annealed_boundary(label, seed0, c):
+    # one site between two boundary leaves: the label fixes the leaves'
+    # angle, and each leaf's sign is summed on its own, so the angle law
+    # is cosh(beta c(x))^2, not the cosh(2 beta c(x)) of two fixed spins
+    region, beta, n = build_box(1, 1), 1.0, 4000
+    alpha = np.empty(n)
+    for i in range(n):
+        res = cftp_sample(region, [(0,)], MODEL_XY, beta, seed0 + i, boundary=label)
+        assert not res.timed_out
+        alpha[i] = res.values[(0,)]["alpha"]
+    alpha.sort()
+    i = np.arange(1, n + 1)
+
+    def ks(log_density):
+        F = angle_law_cdf(log_density, alpha)
+        return max(np.max(np.abs(i / n - F)), np.max(np.abs((i - 1) / n - F)))
+
+    critical = 1.95 / math.sqrt(n)  # the KS distance's 0.1% critical value
+    assert ks(lambda x: 2.0 * np.log(np.cosh(beta * c(x)))) < critical
+    assert ks(lambda x: np.log(np.cosh(2.0 * beta * c(x)))) > critical
 
 
 def test_cftp_values_stable_under_window_doubling():
@@ -577,7 +629,7 @@ def test_empty_target_and_bad_coupling_inputs_raise_value_error():
     box = build_box(1, 2)
     with pytest.raises(ValueError, match="target"):
         cftp_sample(box, [], MODEL_SWM, beta=0.5, seed=1)
-    for t, replicas in ((math.inf, 10), (2.0, 0), (2.0, -3)):
+    for t, replicas in ((math.inf, 10), (2.0, 0), (2.0, -3), (2.0, 2.5), (2.0, True)):
         with pytest.raises(ValueError):
             coupling_probability(n=2, t=t, s=0.0, d=1, model=MODEL_SWM, beta=0.5,
                                  replicas=replicas, seed0=1)

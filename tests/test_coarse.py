@@ -58,6 +58,29 @@ def test_coarse_params_reject_bad_depth_and_beta():
         CoarseParams(model=model, beta=0.0, d=1, L=1, delta=0.5)
 
 
+@pytest.mark.parametrize("k", [2.5, True, 3.0])
+def test_coarse_params_reject_a_depth_that_is_not_an_int(k):
+    for model in ("swm", "xy"):
+        with pytest.raises(ValueError, match="digit depth"):
+            CoarseParams(model, 0.1, 1, 2, 0.5, k=k)
+
+
+def test_coarse_params_store_the_depth_they_run_at():
+    for model in ("swm", "xy"):
+        params = CoarseParams(model, 0.5, 1, 2, 0.5)
+        assert params.k == params.digits == required_digits(model, 0.5, 1, 0.1)
+        assert CoarseParams(model, 0.5, 1, 2, 0.5, k=15).digits == 15
+
+
+def test_counts_must_be_positive_ints():
+    params = CoarseParams("swm", 0.0, 1, 1, 0.5)
+    for count in (-3, 0, 2.5, True):
+        with pytest.raises(ValueError, match="trials"):
+            decoupling_check((0,), params, seed=7, trials=count)
+        with pytest.raises(ValueError, match="samples"):
+            sample_cluster_and_localset_sizes(params, seed=7, samples=count)
+
+
 def test_coarse_params_reject_eps_outside_unit_interval():
     # the same rule as WindowSpec: eps = 0 would match every draw and
     # eps >= 1 none, whatever the digit depth
@@ -91,6 +114,7 @@ def test_lattice_dimension_must_be_a_positive_int():
         (CellWindow, (-3, 0, 1, 1.0)), (CoarseParams, ("swm", 0.1, 1, 2.0, 0.5)),
         (CoarseParams, ("swm", 0.1, 1, 1.5, 0.5)), (CoarseParams, ("xy", 0.1, 1, True, 0.5)),
         (CoarseParams, ("swm", 0.1, True, 2, 0.5)),
+        (build_box, (2.0, 2)),
     ]
 ])
 def test_geometry_that_is_not_an_int_is_rejected_at_construction(make, args):

@@ -6,6 +6,7 @@ from exactspin.lattice import build_box
 from exactspin.xy import HALF_PI, XyGraph
 
 from oracle import (
+    angle_law_cdf,
     enumerate_xy,
     instance_from_box,
     quadrature_cdf,
@@ -30,6 +31,13 @@ def test_rejection_matches_quadrature_cdf():
     i = np.arange(1, n + 1)
     ks = max(np.max(np.abs(i / n - F)), np.max(np.abs((i - 1) / n - F)))
     assert ks < 0.01
+
+
+def test_angle_law_cdf_closed_forms():
+    xs = np.linspace(0.0, HALF_PI, 101)
+    assert np.allclose(angle_law_cdf(lambda x: 0.0 * x, xs), xs / HALF_PI, atol=1e-12)
+    # density cos x on [0, pi/2]: CDF sin x, under 2^16 trapezoids to ~1e-10
+    assert np.allclose(angle_law_cdf(lambda x: np.log(np.cos(x)), xs), np.sin(xs), atol=1e-9)
 
 
 def _single_edge_graph():

@@ -287,6 +287,13 @@ def test_digit_split_rejects_large_k():
         digit_cell(0.5, 16)
 
 
+@pytest.mark.parametrize("k", [2.5, True, 3.0])
+def test_digit_split_rejects_a_depth_that_is_not_an_int(k):
+    # 10^2.5 is no count of cells: the floor would fall between cells
+    with pytest.raises(ValueError, match="digit depth"):
+        digit_cell(0.5, k)
+
+
 def test_grand_inverse_cdf_uniform():
     inv = monotone_inverse(lambda x: x, 0.3, 0.0, 1.0)
     assert abs(inv - 0.3) < 1e-12
