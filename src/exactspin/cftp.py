@@ -4,10 +4,15 @@ Updates compose over space-time windows through the shared event
 streams; top and bottom trajectories start from the extremal
 configurations and are folded through identical randomness.  Once they
 agree at a site the value is the exact Gibbs sample there and cannot
-change under any enlargement of the window, which the doubling
-procedure exploits.  The event that the lanes agree at a site throughout
-a time slab is decided by the slab monitor of the mixed cells: the
-engine's core mask for SWM, :func:`_xy_monitor` for XY.
+change under any enlargement of the window: a longer window's lanes
+stay between the shorter window's.  The doubling procedure exploits
+this twice: it stops at the first window of 1, 2, 4, ... at which the
+targets coalesce, and, since that window does not depend on where the
+scan starts, it starts at half the window that the last call with the
+same parameters certified (:func:`cftp_sample`).  The event that the
+lanes agree at a site throughout a time slab is decided by the slab
+monitor of the mixed cells: the engine's core mask for SWM,
+:func:`_xy_monitor` for XY.
 """
 
 from __future__ import annotations
@@ -283,7 +288,13 @@ def _region_graph(region: BoxRegion) -> XyGraph:
 
 
 def _check_targets(region: BoxRegion, targets: Sequence[Vertex]) -> None:
+    """Reject a target that is not a tuple of ints (``(True, 0)`` would
+    read site ``(1, 0)`` under another label) or lies outside the region."""
     for v in targets:
+        if not isinstance(v, tuple):
+            raise ValueError(f"a target vertex is a tuple of ints, got {v!r}")
+        for c in v:
+            _check_int("a target coordinate", c)
         if len(v) != region.d or not region.contains(v):
             raise ValueError(f"target vertex {v} outside the region")
 
@@ -367,6 +378,12 @@ class CftpResult:
         )
 
 
+# The window the last successful call certified, per parameter set and
+# target list: where the next call's scan starts, never what it returns.
+_last_window: Dict[tuple, float] = {}
+_LAST_WINDOW_KEYS = 64
+
+
 def cftp_sample(
     region: BoxRegion,
     target: Sequence[Vertex],
@@ -380,13 +397,29 @@ def cftp_sample(
 ) -> CftpResult:
     """Exact Gibbs sample on the target via backward-doubling windows.
 
-    Runs the sandwich over [-t, 0] for t = 1, 2, 4, ... reusing the
-    same event realization (streams are restriction-consistent) until
-    the extremal trajectories agree on the target at time 0.  Exceeding
-    ``t_max`` yields an explicit timeout result, never a silent sample;
-    its ``window_t`` is the longest window run, 0.0 when ``t_max`` < 1
-    let none run.  A NaN, infinite or non-positive ``t_max`` raises
-    ValueError.
+    Runs the sandwich over [-t, 0] for windows t of the doubling sequence
+    1, 2, 4, ... reusing the same event realization (streams are
+    restriction-consistent), and returns the lanes' values at the least
+    window at which they agree on every target at time 0.
+
+    Coalescence at a target is monotone in t: the lanes of the 2t window
+    start between the extremes at -t, see the same events on (-t, 0] as
+    the t window, and keep the sandwich order, so they stay between its
+    lanes.  A target that coalesces at t keeps its value at every longer
+    window, so the scan may start anywhere in the sequence.  It starts
+    at half the window that the last successful call with the same
+    parameters and targets certified (at 1 on the first call), runs the
+    windows below while some target still coalesces there, and the
+    windows above until every target does.  The result is that of the
+    scan from 1: ``certificate[v]`` is the least window of the sequence
+    at which v coalesces, ``window_t`` the largest entry, and ``values``
+    come from the window ``window_t``.
+
+    Exceeding ``t_max`` yields an explicit timeout result, never a silent
+    sample; its ``window_t`` is the longest window of the sequence up to
+    ``t_max``, 0.0 when ``t_max`` < 1 lets none run, and its certificate
+    holds the targets that coalesced by then.  A NaN, infinite or
+    non-positive ``t_max`` raises ValueError.
     """
     if not (math.isfinite(t_max) and t_max > 0.0):
         raise ValueError(f"t_max must be finite and > 0, got {t_max!r}")
@@ -395,28 +428,46 @@ def cftp_sample(
         raise ValueError("empty target")
     _check_targets(region, target)
     # checks the parameters also when t_max < 1 lets no round run
-    WindowSpec(region, 0.0, 0.0, model, beta, eps=eps, boundary=boundary, k=k)
-    cert: Dict[Vertex, float] = {}
-    t = 1.0
-    while t <= t_max:
+    k = WindowSpec(region, 0.0, 0.0, model, beta, eps=eps, boundary=boundary, k=k).k
+    first: Dict[Vertex, float] = {}  # the least window run at which v coalesced
+    values: Dict[float, Dict[Vertex, object]] = {}  # windows at which all did
+
+    def coalesces(t: float) -> bool:
+        """Run window t; whether some target coalesced there."""
         window = WindowSpec(region, -t, 0.0, model, beta, eps=eps, boundary=boundary, k=k)
         pair = sandwich_run(window, seed, targets=target)
-        done = True
-        for v in target:
-            if pair.coalesced(v):
-                cert.setdefault(v, t)
-            else:
-                done = False
-        if done:
-            vals = {v: pair.top.value_at(v) for v in target}
-            return CftpResult(
-                model=model, target=target, values=vals, window_t=t,
-                timed_out=False, certificate=cert, seed=seed,
-            )
-        t *= 2.0
+        hit = [v for v in target if pair.coalesced(v)]
+        for v in hit:
+            first[v] = min(first.get(v, t), t)
+        if len(hit) == len(target):
+            values[t] = {v: pair.top.value_at(v) for v in target}
+        return bool(hit)
+
+    key = (region, model, beta, eps, boundary, k, tuple(target))
+    t = 0.0
+    if t_max >= 1.0:
+        top = 2.0 ** (math.frexp(t_max)[1] - 1)  # the longest window <= t_max
+        t = min(max(1.0, _last_window.get(key, 1.0) / 2.0), top)
+        if coalesces(t):
+            below = t
+            while below > 1.0 and coalesces(below / 2.0):
+                below /= 2.0
+        while t not in values and t < top:
+            t *= 2.0
+            coalesces(t)
+    cert = {v: first[v] for v in sorted((v for v in target if v in first), key=first.get)}
+    if t not in values:
+        return CftpResult(
+            model=model, target=target, values=None, window_t=t,
+            timed_out=True, certificate=cert, seed=seed,
+        )
+    window_t = max(cert.values())
+    if key not in _last_window and len(_last_window) >= _LAST_WINDOW_KEYS:
+        _last_window.clear()
+    _last_window[key] = window_t
     return CftpResult(
-        model=model, target=target, values=None, window_t=t / 2.0 if t > 1.0 else 0.0,
-        timed_out=True, certificate=cert, seed=seed,
+        model=model, target=target, values=values[window_t], window_t=window_t,
+        timed_out=False, certificate=cert, seed=seed,
     )
 
 

@@ -4,8 +4,10 @@
 
 or, without installing, ``python -m exactspin.cli sample ...``.
 ``sample`` draws an exact sample at the centre of a box by CFTP
-doubling and prints ``CftpResult.to_json()`` on one line; the exit
-code is 1 when the window cap ``--t-max`` is reached first.
+doubling (windows 1, 2, 4, ... into the past; see
+:func:`exactspin.cftp.cftp_sample` for why a scan may start above 1)
+and prints ``CftpResult.to_json()`` on one line; the exit code is 1
+when the window cap ``--t-max`` is reached first.
 """
 
 from __future__ import annotations

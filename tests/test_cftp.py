@@ -477,37 +477,148 @@ def _full_lanes(monkeypatch):
     return asked
 
 
+# settings on which sampled values, certificates and windows must keep their bits
+CFTP_CASES = [
+    (MODEL_SWM, build_box(1, 6), [(0,)], 0.32, 1.0),
+    (MODEL_SWM, build_box(2, 4), [(0, 0), (2, -3)], 0.2, 0.5),
+    (MODEL_SWM, build_box(2, 3), [(1, 1)], 1.0, -0.3),
+    (MODEL_SWM, build_box(3, 2), [(0, 0, 0)], 0.0, None),
+    (MODEL_XY, build_box(1, 3), [(0,)], 0.5, "+1"),
+    (MODEL_XY, build_box(1, 2), [(1,), (0,)], 1.0, "+i"),
+    (MODEL_XY, build_box(2, 2), [(0, 0)], 1.0, "+1"),
+    (MODEL_XY, build_box(2, 2), [(1, -1), (0, 1)], 0.0, "+i"),
+    (MODEL_XY, build_box(2, 2), [(0, 1)], 0.5, "+i"),
+]
+
+
+def _value_bits(x):
+    """A sampled value's bits: the SWM spin, or the whole XY record."""
+    if isinstance(x, float):
+        return x.hex()
+    return x["alpha"].hex(), x["omega"], x["eta"]
+
+
+def _result_bits(res):
+    values = None if res.values is None else {v: _value_bits(x) for v, x in res.values.items()}
+    return values, res.certificate, res.window_t, res.timed_out, res.to_json()
+
+
 def test_cftp_sample_on_the_cone_matches_full_lanes(monkeypatch):
     # values, certificates and windows keep their bits, for both models
-    cases = [
-        (MODEL_SWM, build_box(1, 6), [(0,)], 0.32, 1.0),
-        (MODEL_SWM, build_box(2, 4), [(0, 0), (2, -3)], 0.2, 0.5),
-        (MODEL_SWM, build_box(2, 3), [(1, 1)], 1.0, -0.3),
-        (MODEL_SWM, build_box(3, 2), [(0, 0, 0)], 0.0, None),
-        (MODEL_XY, build_box(1, 3), [(0,)], 0.5, "+1"),
-        (MODEL_XY, build_box(1, 2), [(1,), (0,)], 1.0, "+i"),
-        (MODEL_XY, build_box(2, 2), [(0, 0)], 1.0, "+1"),
-        (MODEL_XY, build_box(2, 2), [(1, -1), (0, 1)], 0.0, "+i"),
-        (MODEL_XY, build_box(2, 2), [(0, 1)], 0.5, "+i"),
-    ]
-
-    def value_bits(x):
-        if isinstance(x, float):
-            return x.hex()
-        return x["alpha"].hex(), x["omega"], x["eta"]
-
-    def bits(res):
-        return ({v: value_bits(x) for v, x in res.values.items()}, res.certificate,
-                res.window_t, res.timed_out)
-
     def samples():
-        return [bits(cftp_sample(box, target, model, beta, seed, boundary=bc))
-                for model, box, target, beta, bc in cases for seed in range(8)]
+        return [_result_bits(cftp_sample(box, target, model, beta, seed, boundary=bc))
+                for model, box, target, beta, bc in CFTP_CASES for seed in range(8)]
 
     cone = samples()
     asked = _full_lanes(monkeypatch)
     assert samples() == cone
-    assert {tuple(a) for a in asked} == {tuple(case[2]) for case in cases}
+    assert {tuple(a) for a in asked} == {tuple(case[2]) for case in CFTP_CASES}
+
+
+@pytest.mark.parametrize("model, box, targets, beta, boundary, seeds", [
+    (MODEL_SWM, build_box(2, 4), [(0, 0)], 0.32, 1.0, range(8)),
+    (MODEL_SWM, build_box(1, 6), [(0,)], 0.32, None, range(1, 9)),
+    (MODEL_SWM, build_box(2, 3), [(0, 0), (2, -1)], 0.5, 0.0, range(8)),
+    (MODEL_XY, build_box(2, 2), [(0, 0)], 1.0, BC_PLUS_ONE, range(4)),
+    (MODEL_XY, build_box(1, 3), [(0,)], 0.5, BC_PLUS_I, range(8)),
+])
+def test_coalescence_is_monotone_in_the_window(model, box, targets, beta, boundary, seeds):
+    # the premise of cftp_sample's warm start: a target coalesced at
+    # window t is coalesced, with the same bits, at every longer window
+    def coalesced_bits(seed, t):
+        window = WindowSpec(box, -t, 0.0, model, beta, boundary=boundary)
+        pair = sandwich_run(window, seed, targets=targets)
+        return {v: _value_bits(pair.top.value_at(v)) for v in targets if pair.coalesced(v)}
+
+    for seed in seeds:
+        seen, t = {}, 1.0
+        while len(seen) < len(targets):
+            assert t <= 64.0, "the setting must certify"
+            bits = coalesced_bits(seed, t)
+            assert all(bits.get(v) == b for v, b in seen.items()), (seed, t)
+            seen, t = bits, 2.0 * t
+        certified = t / 2.0
+        while t <= 4.0 * certified:
+            assert coalesced_bits(seed, t) == seen, (seed, t)
+            t *= 2.0
+
+
+def test_warm_started_cftp_matches_the_cold_scan(monkeypatch):
+    # whatever window an earlier call certified, every result is that of
+    # the scan from t = 1: values, certificates (in order), windows and
+    # timeouts with their partial certificates
+    memo = {}
+    monkeypatch.setattr(cftp, "_last_window", memo)
+    partial = 0
+    for model, box, target, beta, bc in CFTP_CASES:
+        def sample(seed, t_max=2.0**20, last=None):
+            memo.clear()
+            if last is not None:
+                memo[key] = last
+            res = cftp_sample(box, target, model, beta, seed, boundary=bc, t_max=t_max)
+            return _result_bits(res)
+
+        sample(0)
+        (key,) = memo  # this case's memo key
+        for seed in range(8):
+            last = (1.0, 2.0, 8.0, 64.0)[seed % 4]
+            cold = sample(seed)
+            assert sample(seed, last=last) == cold, (model, target, seed, last)
+            # the cold scan's certificate order: by the window each target coalesced at
+            assert list(cold[1].values()) == sorted(cold[1].values())
+            for t_max in (4.0, 0.5):
+                cold = sample(seed, t_max)
+                assert sample(seed, t_max, last=64.0) == cold, (model, target, seed, t_max)
+                partial += cold[3] and 0 < len(cold[1]) < len(target)
+    assert partial  # a multi-target timeout with a partial certificate was checked
+
+
+def test_warm_call_runs_the_window_below_its_certificate(monkeypatch):
+    # a cold call runs the full schedule 1, 2, ..., T; a repeated call
+    # starts at T / 2 and runs [T / 2, T]; the next seed starts at half
+    # the window the last call certified
+    monkeypatch.setattr(cftp, "_last_window", {})
+    real = cftp.sandwich_run
+    windows = []
+
+    def counted(window, seed, targets=None):
+        windows.append(-window.t_start)
+        return real(window, seed, targets=targets)
+
+    monkeypatch.setattr(cftp, "sandwich_run", counted)
+    for model, box, bc in ((MODEL_SWM, build_box(2, 4), 1.0), (MODEL_XY, build_box(1, 3), "+i")):
+        target, last = [(0,) * box.d], None
+        for seed in range(4):
+            del windows[:]
+            warm_first = cftp_sample(box, target, model, 0.5, seed, boundary=bc)
+            if last is not None:
+                assert windows[0] == max(1.0, last / 2.0)
+            cftp._last_window.clear()
+            del windows[:]
+            cold = cftp_sample(box, target, model, 0.5, seed, boundary=bc)
+            T = cold.window_t
+            assert cold == warm_first
+            assert windows == [2.0**i for i in range(int(math.log2(T)) + 1)]
+            del windows[:]
+            assert cftp_sample(box, target, model, 0.5, seed, boundary=bc) == cold
+            assert windows == ([T / 2.0] if T > 1.0 else []) + [T]
+            last = T
+    # the memo holds at most 64 parameter sets: a new one past that clears it
+    cftp._last_window.update({i: 64.0 for i in range(64)})
+    cftp_sample(build_box(1, 3), [(1,)], MODEL_SWM, 0.5, 0, boundary=1.0)
+    assert len(cftp._last_window) == 1
+
+
+def test_targets_that_are_not_tuples_of_ints_raise_value_error():
+    # (True, 0) would read site (1, 0) under another label, and a list
+    # cannot key a certificate
+    box = build_box(2, 2)
+    window = auto_window(box, -2.0, 0.0, MODEL_SWM, beta=0.3, boundary=1.0)
+    for targets in ([(True, 0)], [(0.0, 0)], [[0, 0]], [(0, 0), (1, 0.0)]):
+        with pytest.raises(ValueError, match="target"):
+            cftp_sample(box, targets, MODEL_SWM, 0.3, 1, boundary=1.0)
+        with pytest.raises(ValueError, match="target"):
+            sandwich_run(window, seed=1, targets=targets)
 
 
 def test_coupling_probability_on_the_cone_matches_full_lanes(monkeypatch):
